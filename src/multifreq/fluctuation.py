@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "FluctuationParams",
     "variation_norm",
+    "variation_dp",
     "min_enclosing_ball",
     "entropy_count",
     "EntropyProfile",
@@ -59,44 +60,52 @@ def _as_real_points(seq) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+def variation_dp(pts: np.ndarray, q: float) -> np.ndarray:
+    """Homogeneous q-variation along axis 0 of real points (n, D[, M]), one
+    result per trailing column, by exact DP over the pairs j < i only, in
+    O(n * D * M) memory.  The turning-point reduction ``variation_norm``
+    runs first is exact only for q >= 1 and one moving coordinate."""
+    cols = pts.reshape(len(pts), pts.shape[1], -1)
+    best = np.zeros((len(pts), cols.shape[2]))
+    # 2048-column blocks keep each step's temporaries small, so the
+    # allocator reuses them instead of mapping fresh pages every time
+    for b in range(0, cols.shape[2], 2048):
+        blk, acc = cols[..., b : b + 2048], best[:, b : b + 2048]
+        for i in range(1, len(pts)):
+            d = blk[:i] - blk[i]
+            acc[i] = np.max(acc[:i] + np.sum(d * d, axis=1) ** (0.5 * q), axis=0)
+    return (np.max(best, axis=0) ** (1.0 / q)).reshape(pts.shape[2:])
 
 
 def variation_norm(seq, q: float, mode: str = "homogeneous") -> float:
     """q-variation of a finite sequence.
 
     homogeneous: sup over increasing subsequences k_1 < ... < k_m of
-    (sum ||c_{k_j} - c_{k_{j-1}}||^q)^(1/q), computed exactly by dynamic
-    programming over predecessors.  nonhomogeneous adds sup_k ||c_k||.
-    """
+    (sum ||c_{k_j} - c_{k_{j-1}}||^q)^(1/q), by ``variation_dp`` after two
+    exact reductions.  nonhomogeneous adds sup_k ||c_k|| (``vq_dk`` takes
+    the maximum of the two instead)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if mode not in ("homogeneous", "nonhomogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
-    pts = _as_real_points(seq)
+    # coordinate-major copy, so the O(n) passes reduce along the long axis
+    xs = np.ascontiguousarray(_as_real_points(seq).T)
+    sup_term = float(np.sqrt(np.max(np.sum(xs * xs, axis=0))))
     # consecutive duplicates contribute nothing; dropping them is exact
-    # and keeps the quadratic DP cheap for step-like sequences
-    if pts.shape[0] > 1:
-        keep = np.ones(pts.shape[0], dtype=bool)
-        keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-        pts = pts[keep]
-    n = pts.shape[0]
-    if n > 8192:
+    xs = xs[:, np.r_[True, np.any(xs[:, 1:] != xs[:, :-1], axis=0)]]
+    moving = xs[np.any(xs != xs[:, :1], axis=1)]
+    if len(moving) == 1:
+        # with q >= 1 and one moving coordinate only the endpoints and the
+        # turns count (Butkus & Norvaisa, Lith. Math. J. 2018); turns come
+        # from step signs, as products of tiny steps underflow
+        up = np.diff(moving[0]) > 0
+        xs = moving[:, np.r_[True, up[1:] != up[:-1], True]]
+    if xs.shape[1] > 8192:
         raise ValueError(
             "sequence has too many distinct consecutive values for the "
             "exact quadratic variation computation"
         )
-    sup_term = float(np.max(np.sqrt(np.sum(pts * pts, axis=1))))
-    if n == 1:
-        hom = 0.0
-    else:
-        dq = _pairwise_distances(pts) ** q
-        best = np.zeros(n)
-        for i in range(1, n):
-            best[i] = np.max(best[:i] + dq[:i, i])
-        hom = float(np.max(best) ** (1.0 / q))
+    hom = float(variation_dp(xs.T, q))
     if mode == "homogeneous":
         return hom
     return hom + sup_term

@@ -155,10 +155,10 @@ def moment_match(f_vals: np.ndarray, sigma: FrequencySet, cells: np.ndarray,
     moments against e(xi_j x) match those of the local signal.
 
     Returns (g on triple_cells, moments, relative smallest Gram singular
-    value).  A rank-deficient Gram is regularized by pseudoinverse with
-    relative cutoff GRAM_RCOND; the solution stays least-norm and the
-    moment residual stays negligible because the moment vector lies in the
-    range of the Gram by construction.
+    value).  g is the least-norm solution of h E g = moments, solved on E
+    itself with cutoff sqrt(GRAM_RCOND), i.e. GRAM_RCOND on the Gram:
+    solving through the Gram squares the conditioning, which on
+    rank-deficient Grams pushes moment residuals above TOL_ORTH.
     """
     grid = sigma.grid
     h = grid.h
@@ -168,8 +168,7 @@ def moment_match(f_vals: np.ndarray, sigma: FrequencySet, cells: np.ndarray,
     gram = h * (e_3j @ e_3j.conj().T)
     sv = np.linalg.svd(gram, compute_uv=False)
     rel_min_sv = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    alpha = np.linalg.pinv(gram, rcond=GRAM_RCOND) @ moments
-    g_vals = alpha @ np.conj(e_3j)
+    g_vals = np.linalg.lstsq(h * e_3j, moments, rcond=np.sqrt(GRAM_RCOND))[0]
     return g_vals, moments, rel_min_sv
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bumps import build_dk_symbol, dk_tiles
 from .errors import GridMismatchError, ResolutionError, SymbolSupportError
-from .fluctuation import symbol_vr_norm, variation_norm
+from .fluctuation import symbol_vr_norm, variation_dp
 from .grid import (
     FrequencySet,
     Signal,
@@ -168,20 +168,6 @@ def dk_apply(f: Signal, sigma: FrequencySet, k: int, variant: str = "tiled") -> 
     return apply_multiplier(f, build_dk_symbol(sigma, k, variant))
 
 
-def _pointwise_variation(stack: np.ndarray, q: float, mode: str) -> np.ndarray:
-    # stack has shape (n_scales, n_points); exact DP over subsequence
-    # predecessors, vectorized across the point axis
-    n_k = stack.shape[0]
-    diffs = np.abs(stack[:, None, :] - stack[None, :, :]) ** q
-    best = np.zeros(stack.shape, dtype=np.float64)
-    for j in range(1, n_k):
-        best[j] = np.max(best[:j] + diffs[:j, j], axis=0)
-    out = np.max(best, axis=0) ** (1.0 / q)
-    if mode == "nonhomogeneous":
-        out = np.maximum(out, np.max(np.abs(stack), axis=0))
-    return out
-
-
 def vq_dk(
     f: Signal,
     sigma: FrequencySet,
@@ -194,7 +180,8 @@ def vq_dk(
 
     At each grid point the finite sequence k -> (window sum at scale k
     applied to f)(x) is reduced to its q-variation; nonhomogeneous mode
-    also majorizes the pointwise supremum over scales.
+    takes the maximum of that and the pointwise supremum over scales
+    (``variation_norm`` adds the two instead).
     """
     if q <= 2:
         raise ValueError("variation exponent q must exceed 2")
@@ -211,7 +198,10 @@ def vq_dk(
     for row, k in enumerate(scale_range.scales()):
         sym = build_dk_symbol(sigma, k, variant)
         stack[row] = inverse_transform(Spectrum(f.grid, fhat.values * sym.values)).values
-    return Signal(f.grid, _pointwise_variation(stack, q, mode).astype(np.complex128))
+    out = variation_dp(np.stack((stack.real, stack.imag), axis=1), q)
+    if mode == "nonhomogeneous":
+        out = np.maximum(out, np.max(np.abs(stack), axis=0))
+    return Signal(f.grid, out.astype(np.complex128))
 
 
 def sharp_maximal(
@@ -373,7 +363,7 @@ def corollary_constants(
                 cand = width**2 * float(np.max(np.abs(d2))) / freq_step**2
                 d2_val = max(d2_val, cand)
         seq[row] = assembled[sigma.indices + half]
-    vt = 0.0
-    for col in range(seq.shape[1]):
-        vt = max(vt, variation_norm(seq[:, col], t, mode="nonhomogeneous"))
+    # nonhomogeneous t-variation of each column, as variation_norm sums it
+    hom = variation_dp(np.stack((seq.real, seq.imag), axis=1), t)
+    vt = float(np.max(hom + np.max(np.abs(seq), axis=0)))
     return CorollaryConstants(vt, float(d2_val))

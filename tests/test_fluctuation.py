@@ -4,6 +4,7 @@ Oracles used here, all implemented locally and independently of the
 library internals:
 
 * exhaustive maximum over all increasing subsequences (variation),
+* a plain quadratic DP over all predecessors (variation, long inputs),
 * enumeration of circumball candidates over all point subsets (balls),
 * enumeration of all set partitions (exact covering numbers, n <= 5),
 * midpoint Riemann sums on 1e5 nodes (entropy integrals),
@@ -11,12 +12,17 @@ library internals:
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multifreq import (
     EntropyProfile,
+    TorusGrid,
     FluctuationParams,
     entropy_count,
     entropy_integral,
@@ -27,6 +33,8 @@ from multifreq import (
     symbol_vr_norm,
     variation_norm,
 )
+from multifreq.experiments import sample_rough_spec
+from multifreq.fluctuation import variation_dp
 
 # --------------------------------------------------------------------------
 # local oracles
@@ -42,6 +50,7 @@ def _combos(n, m):
 
 
 def exhaustive_variation(seq, q, mode="homogeneous"):
+    """Brute force; nonhomogeneous is the sum hom + sup, as in variation_norm."""
     pts = np.asarray(seq)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -56,6 +65,18 @@ def exhaustive_variation(seq, q, mode="homogeneous"):
     if mode == "homogeneous":
         return hom
     return hom + float(np.max(np.sqrt(np.sum(np.abs(pts) ** 2, axis=1))))
+
+
+def reference_dp(seq, q, mode="homogeneous"):
+    """Quadratic DP over every predecessor, with no reduction of the input."""
+    pts = to_real(seq)
+    best = [0.0]
+    for i in range(1, len(pts)):
+        best.append(max(b + np.linalg.norm(pts[i] - p) ** q for b, p in zip(best, pts)))
+    hom = max(best) ** (1.0 / q)
+    if mode == "homogeneous":
+        return hom
+    return hom + float(np.max(np.linalg.norm(pts, axis=1)))
 
 
 def to_real(points):
@@ -183,6 +204,66 @@ def test_variation_input_validation():
         variation_norm([1.0, 2.0], 0.5)
     with pytest.raises(ValueError):
         variation_norm([1.0, 2.0], 2, mode="mixed")
+
+
+# plateaus are zero steps, ties are returns to an earlier level, and
+# monotone runs are steps of one sign; scales stay clear of under- and
+# overflow in the q-th powers of both DPs
+_walks = st.builds(
+    lambda steps, scale: scale * np.cumsum(steps, dtype=np.float64),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    st.sampled_from([1.0, 0.37, 1e-100, 1e100]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _walks,
+    st.sampled_from(["real", "zero-imag", "constant-real"]),
+    st.sampled_from([1.0, 2.0, 2.5, 3.0]),
+)
+def test_turning_point_reduction_matches_quadratic_dp(x, kind, q):
+    seq = {"real": x, "zero-imag": x + 0j, "constant-real": -1.5 + 1j * x}[kind]
+    for mode in ("homogeneous", "nonhomogeneous"):
+        got = variation_norm(seq, q, mode=mode)
+        want = reference_dp(seq, q, mode=mode)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# small integer values give repeats, plateaus and purely real columns
+_columns = arrays(
+    np.int64,
+    st.tuples(st.integers(1, 12), st.integers(1, 5), st.just(2)),
+    elements=st.integers(-2, 2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_columns, st.booleans(), st.sampled_from([1.0, 2.5, 4.0]))
+def test_batched_kernel_matches_variation_norm_per_column(vals, complex_valued, q):
+    cols = vals[..., 0] + 1j * vals[..., 1] if complex_valued else vals[..., 0].astype(float)
+    got = variation_dp(np.stack((cols.real, cols.imag), axis=1), q)
+    for c in range(cols.shape[1]):
+        want = variation_norm(cols[:, c], q)
+        assert abs(got[c] - want) <= 1e-12 * want
+
+
+def test_long_noncollinear_sequence_still_rejected():
+    seq = np.exp(2j * np.pi * np.arange(8193) / 8193)
+    with pytest.raises(ValueError):
+        variation_norm(seq, 2.0)
+
+
+def test_variation_memory_is_linear():
+    rng = np.random.default_rng(3)
+    seq = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    tracemalloc.start()
+    try:
+        variation_norm(seq, 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_fluctuation_params_validation():
@@ -457,6 +538,15 @@ def test_symbol_norm_matches_exhaustive(rng):
             got = symbol_vr_norm(vals, r)
             want = exhaustive_variation(vals, r, mode="nonhomogeneous")
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_long_real_symbols_are_reduced_not_rejected():
+    # N=2 domes on 2^17 samples have over 8192 distinct values each
+    for r in (1.0, 2.0, 2.5):
+        spec = sample_rough_spec(
+            TorusGrid(128, 2**17), 2, np.random.default_rng(0), with_symbols=True, r=r
+        )
+        assert spec.vr_norms == (1 + 2 ** (1 / r),) * 2
 
 
 def test_symbol_norm_validation():

@@ -203,6 +203,27 @@ def test_match_is_a_projection(grid, rng):
         assert np.sum(np.abs(g) ** 2) <= np.sum(np.abs(f_vals) ** 2) + 1e-12
 
 
+def test_residual_tiny_when_frequencies_outnumber_cells():
+    # 64 separated frequencies against 48 dilation cells: the Gram is
+    # singular, and solving through it left a residual of 1.07e-8 * |f_J|_1
+    grid = TorusGrid(period=128, samples=2**15)
+    rng = np.random.default_rng(63)
+    slots = np.arange(-grid.samples // 2 + 128, grid.samples // 2 - 127, 128)
+    sigma = FrequencySet(grid, np.sort(rng.choice(slots, 64, replace=False)))
+    start = int(rng.integers(0, grid.samples - 48))
+    triple = np.arange(start, start + 48)
+    f_vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    g, _, rel_sv = moment_match(f_vals, sigma, triple[16:32], triple)
+    assert rel_sv < 1e-10
+    b = -g.copy()
+    b[16:32] += f_vals
+    h = grid.h
+    x3 = triple * h
+    for xi in sigma.frequencies():
+        resid = h * np.sum(b * np.exp(-2j * np.pi * xi * x3))
+        assert abs(resid) <= 1e-8 * h * np.sum(np.abs(f_vals))
+
+
 def test_rank_deficient_gram_reported(grid):
     # one-cell interval with many frequencies: Gram rank is at most 3
     sigma = FrequencySet.from_frequencies(grid, list(np.arange(8.0) - 4.0))

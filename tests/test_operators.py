@@ -35,7 +35,7 @@ from multifreq.operators import (
 # oracles
 
 def exhaustive_variation(seq, q, mode):
-    """Brute force over every increasing subsequence."""
+    """Brute force; nonhomogeneous is the max of hom and sup, as in vq_dk."""
     n = len(seq)
     best = 0.0
     for size in range(2, n + 1):
