@@ -26,11 +26,9 @@ from .grid import (
 )
 from .bumps import (
     BUMP_SHAPES,
-    SmoothBump,
     build_dk_symbol,
     bump_profile,
     dk_tiles,
-    make_bump,
     plateau_profile,
     smoothstep,
 )
@@ -75,7 +73,6 @@ from .operators import (
 )
 from .fluctuation import (
     EntropyProfile,
-    FluctuationParams,
     entropy_count,
     entropy_integral,
     entropy_profile,

@@ -11,19 +11,14 @@ endpoints.  A profile is then flat 1 on [-plateau, plateau], 0 outside
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ResolutionError
 from .grid import DyadicFreqInterval, FrequencySet, Spectrum, SpectralSymbol, TorusGrid
 
 __all__ = [
     "smoothstep",
     "plateau_profile",
     "bump_profile",
-    "SmoothBump",
-    "make_bump",
     "dk_tiles",
     "build_dk_symbol",
     "BUMP_SHAPES",
@@ -72,79 +67,12 @@ def bump_profile(kind: str, x):
     return plateau_profile(x, plateau, support)
 
 
-@dataclass(frozen=True)
-class SmoothBump:
-    """A bump tabulated on the frequency lattice at a given rescaling.
-
-    ``plateau`` and ``support`` are physical half-widths after rescaling.
-    For kind ``eta`` the tabulated values are normalized so the lattice
-    mean (1/period) * sum equals one exactly; ``amplitude`` records the
-    resulting peak value (1.0 for the other kinds).
-    """
-
-    kind: str
-    grid: TorusGrid
-    scale: float
-    plateau: float
-    support: float
-    values: np.ndarray
-    amplitude: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def as_symbol(self) -> SpectralSymbol:
-        return Spectrum(self.grid, self.values.astype(np.complex128))
-
-
-def make_bump(kind: str, grid: TorusGrid, scale: float = 1.0) -> SmoothBump:
-    """Tabulate a profile at ``scale`` on the grid's frequency lattice.
-
-    Requires the rescaled plateau and support to each span at least 8
-    lattice cells so the shape is actually resolved.
-    """
-    if kind not in BUMP_SHAPES:
-        raise ValueError(f"unknown bump kind {kind!r}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    plateau, support = BUMP_SHAPES[kind]
-    cells_plateau = 2 * plateau * scale * grid.period
-    cells_support = 2 * support * scale * grid.period
-    if cells_plateau < 8 or cells_support < 8:
-        raise ResolutionError(
-            f"bump {kind!r} at scale {scale} spans {cells_plateau:.2f} plateau cells; "
-            "need at least 8"
-        )
-    xi = grid.frequencies()
-    vals = bump_profile(kind, xi / scale)
-    amplitude = 1.0
-    if kind == "eta":
-        mean = np.sum(vals) / grid.period
-        if mean <= 0:
-            raise ResolutionError("eta bump has zero lattice mass")
-        vals = vals / mean
-        amplitude = float(np.max(vals))
-    return SmoothBump(kind, grid, scale, plateau * scale, support * scale, vals, amplitude)
-
-
-def _check_scale(grid: TorusGrid, k: int) -> int:
-    p = int(np.log2(grid.period))
-    if k > p:
-        raise ResolutionError(
-            f"window width 2^-{k} is below the lattice step 1/{grid.period}"
-        )
-    return p
-
-
 def dk_tiles(sigma: FrequencySet, k: int) -> list[DyadicFreqInterval]:
     """Dyadic tiles of width 2^-k meeting the frequency set.
 
     Each tile's representative is the smallest set frequency it contains.
     """
-    p = _check_scale(sigma.grid, k)
-    span = 2 ** (p - k)  # lattice cells per tile
+    span = sigma.grid.tile_cells(k)
     tiles: dict[int, int] = {}
     for n in sigma.indices:
         m = int(n) // span
@@ -157,10 +85,9 @@ def dk_tiles(sigma: FrequencySet, k: int) -> list[DyadicFreqInterval]:
 
 
 def _add_scaled_window(acc: np.ndarray, grid: TorusGrid, center_idx: int, k: int) -> None:
-    # adds phi((xi - xi_c) * 2^k) over its lattice support, clipped to the band
-    p = int(np.log2(grid.period))
-    # support half-width 0.5 * 2^-k in frequency is 2^(p-k-1) lattice cells
-    w = int(np.floor(2.0 ** (p - k - 1)))
+    # adds phi((xi - xi_c) * 2^k) over its lattice support, clipped to the band;
+    # the support half-width 0.5 * 2^-k is half a tile
+    w = grid.tile_cells(k) // 2
     nyq = grid.samples // 2
     lo = max(center_idx - w, -nyq)
     hi = min(center_idx + w, nyq - 1)
@@ -168,7 +95,7 @@ def _add_scaled_window(acc: np.ndarray, grid: TorusGrid, center_idx: int, k: int
         return
     n = np.arange(lo, hi + 1)
     xi_rel = (n - center_idx) / grid.period
-    acc[n + nyq] += bump_profile("phi", xi_rel * 2.0 ** k)
+    acc[grid.slot(n)] += bump_profile("phi", xi_rel * 2.0 ** k)
 
 
 def build_dk_symbol(sigma: FrequencySet, k: int, variant: str = "tiled") -> SpectralSymbol:
@@ -180,7 +107,7 @@ def build_dk_symbol(sigma: FrequencySet, k: int, variant: str = "tiled") -> Spec
     smallest set frequency.
     """
     grid = sigma.grid
-    _check_scale(grid, k)
+    grid.tile_cells(k)  # raises ResolutionError below the lattice step
     acc = np.zeros(grid.samples, dtype=np.float64)
     if variant == "separated":
         if not sigma.separated:

@@ -76,17 +76,17 @@ def sample_rough_spec(
     with_symbols: bool = False,
     r: float = 2.0,
 ) -> RoughMultiplierSpec:
-    """n disjoint intervals in disjoint slots, with unimodular
+    """n disjoint intervals in disjoint lanes, with unimodular
     coefficients or smooth dome symbols."""
     half = grid.samples // 2
-    slot = (2 * half) // n
-    if slot < 8:
+    lane = (2 * half) // n
+    if lane < 8:
         raise ValueError(f"cannot place {n} disjoint intervals on this grid")
     ivs = []
     for i in range(n):
-        base = -half + i * slot
-        w = int(rng.integers(max(slot // 4, 4), slot // 2 + 1))
-        off = int(rng.integers(0, slot - w + 1))
+        base = -half + i * lane
+        w = int(rng.integers(max(lane // 4, 4), lane // 2 + 1))
+        off = int(rng.integers(0, lane - w + 1))
         ivs.append((base + off, base + off + w))
     if not with_symbols:
         phases = np.exp(2j * np.pi * rng.random(n))
@@ -96,7 +96,7 @@ def sample_rough_spec(
         arr = np.zeros(grid.samples, dtype=np.complex128)
         w = hi - lo
         cells = np.arange(lo, hi) - 0.5 * (lo + hi)
-        arr[lo + half : hi + half] = plateau_profile(cells, 0.25 * w, 0.499 * w)
+        arr[grid.slot(lo) : grid.slot(hi)] = plateau_profile(cells, 0.25 * w, 0.499 * w)
         syms.append(arr)
     return RoughMultiplierSpec(grid, tuple(ivs), symbols=tuple(syms), r=r)
 
@@ -110,23 +110,22 @@ class _OpSetup:
 
 def _build_setup(op_id: str, params: dict, seed: int) -> _OpSetup:
     grid = params["grid"]
-    p = int(np.log2(grid.period))
     if op_id in ("dk_apply", "vq_dk", "sharp_maximal"):
         sigma = params.get("sigma")
         if sigma is None:
             sigma = sample_separated_set(grid, int(params["n"]), _setup_rng(seed, int(params["n"])))
         if op_id == "dk_apply":
             k = int(params.get("k", 3))
-            halfw = max(2 ** (p - k - 1), 1)
+            halfw = max(grid.tile_cells(k) // 2, 1)
             op = lambda f: dk_apply(f, sigma, k)
         elif op_id == "vq_dk":
             q = float(params.get("q", 3.0))
             sr = params.get("scale_range")
-            halfw = 2 ** (p - 2)
+            halfw = grid.tile_cells(1) // 2
             op = lambda f: vq_dk(f, sigma, q, scale_range=sr)
         else:
             sr = params.get("scale_range")
-            halfw = 2 ** (p - 1)
+            halfw = grid.tile_cells(1)
             op = lambda f: sharp_maximal(f, sigma, sr)
         half = grid.samples // 2
         zones = tuple(
@@ -157,13 +156,13 @@ def _build_setup(op_id: str, params: dict, seed: int) -> _OpSetup:
 def _gaussian_zone_input(grid: TorusGrid, zones, rng) -> Signal:
     # paint a random block of one zone; narrow blocks probe the symbol
     # pointwise, wide ones probe it in the mean
-    half = grid.samples // 2
     lo, hi = zones[int(rng.integers(len(zones)))]
     zw = hi - lo
     w = min(2 ** int(rng.integers(0, int(np.log2(zw)) + 1)), zw)
     start = lo + int(rng.integers(0, zw - w + 1))
     spec = np.zeros(grid.samples, dtype=np.complex128)
-    spec[start + half : start + w + half] = rng.standard_normal(w) + 1j * rng.standard_normal(w)
+    block = rng.standard_normal(w) + 1j * rng.standard_normal(w)
+    spec[grid.slot(start) : grid.slot(start + w)] = block
     return inverse_transform(Spectrum(grid, spec))
 
 
@@ -357,7 +356,6 @@ class ExperimentConfig:
     n_list: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128)
     q: float = 3.0
     r: float = 2.0
-    t: float = 3.0
     trials: int = 64
     seed: int = 0
     family: str = "all"
@@ -474,7 +472,6 @@ def _config_pairs(config: ExperimentConfig) -> list[tuple[str, str]]:
         ("n_list", ",".join(str(n) for n in config.n_list)),
         ("q", f"{config.q:.17g}"),
         ("r", f"{config.r:.17g}"),
-        ("t", f"{config.t:.17g}"),
         ("trials", str(config.trials)),
         ("seed", str(config.seed)),
         ("family", config.family),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FluctuationParams",
     "variation_norm",
     "variation_dp",
     "min_enclosing_ball",
@@ -27,23 +26,6 @@ __all__ = [
 ]
 
 _EXACT_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class FluctuationParams:
-    """Bundle of variation exponents used by the operator layer."""
-
-    q: float = 3.0
-    r: float = 2.5
-    mode: str = "nonhomogeneous"
-
-    def __post_init__(self):
-        if self.q <= 2:
-            raise ValueError("q must be > 2")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if self.mode not in ("homogeneous", "nonhomogeneous"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def _as_real_points(seq) -> np.ndarray:
@@ -130,21 +112,27 @@ def _circumball(pts: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _welzl(pts: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, float]:
+    """Move-to-front Welzl (Gaertner, ESA 1999): each recursion level adds
+    one boundary point, so the depth is at most dim + 1 for any n."""
     dim = pts.shape[1]
+    order = list(order)
 
-    def go(i: int, boundary: list[int]) -> tuple[np.ndarray, float]:
-        if i == len(order) or len(boundary) == dim + 1:
-            if not boundary:
-                return pts[0] * 0.0, -1.0
-            return _circumball(pts[boundary])
-        idx = order[i]
-        center, radius = go(i + 1, boundary)
-        d = float(np.sqrt(np.sum((pts[idx] - center) ** 2)))
-        if d <= radius * (1 + 1e-12) + 1e-15:
+    def go(end: int, boundary: list[int]) -> tuple[np.ndarray, float]:
+        if boundary:
+            center, radius = _circumball(pts[boundary])
+        else:
+            center, radius = pts[0] * 0.0, -1.0
+        if len(boundary) == dim + 1:
             return center, radius
-        return go(i + 1, boundary + [idx])
+        for i in range(end):
+            idx = order[i]
+            d = float(np.sqrt(np.sum((pts[idx] - center) ** 2)))
+            if d > radius * (1 + 1e-12) + 1e-15:
+                center, radius = go(i, boundary + [idx])
+                order.insert(0, order.pop(i))
+        return center, radius
 
-    return go(0, [])
+    return go(len(order), [])
 
 
 def min_enclosing_ball(points) -> tuple[np.ndarray, float]:

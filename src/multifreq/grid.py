@@ -10,6 +10,12 @@ transform pair is normalized so that it is unitary between the measures
 
 which makes ``||spectrum||_2 == ||signal||_2`` hold exactly and keeps
 multiplier operators honest isometries where they should be.
+
+Storage layout: arrays over the lattice are in ascending index order, so
+index ``n`` sits at position ``n + samples/2``, and a dyadic tile of
+width ``2^-k`` spans ``period / 2^k`` lattice cells.  ``TorusGrid.slot``
+and ``TorusGrid.tile_cells`` are the only owners of these two facts;
+everything else asks them.
 """
 
 from __future__ import annotations
@@ -72,6 +78,23 @@ class TorusGrid:
     @property
     def nyquist(self) -> float:
         return self.samples / (2 * self.period)
+
+    @property
+    def finest_scale(self) -> int:
+        """Largest k whose 2^-k tiles still span a lattice cell: log2(period)."""
+        return int(self.period).bit_length() - 1
+
+    def tile_cells(self, k: int) -> int:
+        """Lattice cells spanned by one dyadic tile of width 2^-k."""
+        if k > self.finest_scale:
+            raise ResolutionError(
+                f"dyadic scale 2^-{k} is below the lattice step 1/{self.period}"
+            )
+        return 2 ** (self.finest_scale - k)
+
+    def slot(self, n):
+        """Array position of lattice index ``n`` (an int or an index array)."""
+        return n + self.samples // 2
 
     def positions(self) -> np.ndarray:
         """Sample points x_i = i*h in [0, period)."""
@@ -263,11 +286,6 @@ class DyadicFreqInterval:
     xi_rep_index: int | None = field(default=None)
 
     def __post_init__(self):
-        p = int(np.log2(self.grid.period))
-        if self.k > p:
-            raise ResolutionError(
-                f"dyadic scale 2^-{self.k} is below the lattice step 1/{self.grid.period}"
-            )
         lo_idx, hi_idx = self.index_range()
         nyq = self.grid.samples // 2
         if lo_idx < -nyq or hi_idx > nyq:
@@ -290,8 +308,7 @@ class DyadicFreqInterval:
 
     def index_range(self) -> tuple[int, int]:
         """Lattice index range [lo_idx, hi_idx) covered by the interval."""
-        p = int(np.log2(self.grid.period))
-        span = 2 ** (p - self.k)
+        span = self.grid.tile_cells(self.k)
         return self.m * span, (self.m + 1) * span
 
     @property

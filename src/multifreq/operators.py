@@ -64,16 +64,7 @@ class ScaleRange:
 
 def default_scale_range(grid: TorusGrid) -> ScaleRange:
     # every dyadic width from half a unit down to one lattice cell
-    return ScaleRange(1, int(np.log2(grid.period)))
-
-
-def _check_resolvable(grid: TorusGrid, k: int) -> int:
-    p = int(np.log2(grid.period))
-    if k > p:
-        raise ResolutionError(
-            f"scale 2^-{k} is below the frequency lattice step 1/{grid.period}"
-        )
-    return p
+    return ScaleRange(1, grid.finest_scale)
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,7 @@ class RoughMultiplierSpec:
                     raise ValueError("symbols must live on the full lattice")
                 lo, hi = ivs[len(syms)]
                 nz = np.flatnonzero(arr)
-                if nz.size and (nz[0] < lo + half or nz[-1] >= hi + half):
+                if nz.size and (nz[0] < self.grid.slot(lo) or nz[-1] >= self.grid.slot(hi)):
                     raise SymbolSupportError(
                         "symbol is supported outside its declared interval"
                     )
@@ -150,11 +141,11 @@ class RoughMultiplierSpec:
 
     def assembled_symbol(self) -> Spectrum:
         """Single multiplier: sum of coefficient indicators or of symbols."""
-        half = self.grid.samples // 2
+        slot = self.grid.slot
         acc = np.zeros(self.grid.samples, dtype=np.complex128)
         if self.coefficients is not None:
             for (lo, hi), d in zip(self.intervals, self.coefficients):
-                acc[lo + half : hi + half] = d
+                acc[slot(lo) : slot(hi)] = d
         else:
             for s in self.symbols:
                 acc += s
@@ -191,8 +182,7 @@ def vq_dk(
         raise GridMismatchError("signal and frequency set live on different grids")
     if scale_range is None:
         scale_range = default_scale_range(f.grid)
-    for k in scale_range.scales():
-        _check_resolvable(f.grid, k)
+    f.grid.tile_cells(scale_range.k_max)  # raises ResolutionError below the lattice step
     fhat = forward_transform(f)
     stack = np.empty((len(scale_range), f.grid.samples), dtype=np.complex128)
     for row, k in enumerate(scale_range.scales()):
@@ -214,16 +204,14 @@ def sharp_maximal(
     grid = f.grid
     if scale_range is None:
         scale_range = default_scale_range(grid)
-    half = grid.samples // 2
     fhat = forward_transform(f)
     out = np.zeros(grid.samples, dtype=np.float64)
     for j in scale_range.scales():
-        p = _check_resolvable(grid, j)
-        rad = 2 ** (p - j)
+        rad = grid.tile_cells(j)
         mask = np.zeros(grid.samples, dtype=bool)
         for n in sigma.indices:
-            lo = max(int(n) - rad + half, 0)
-            hi = min(int(n) + rad + half + 1, grid.samples)
+            lo = max(grid.slot(int(n) - rad), 0)
+            hi = min(grid.slot(int(n) + rad + 1), grid.samples)
             mask[lo:hi] = True
         proj = inverse_transform(Spectrum(grid, fhat.values * mask)).values
         np.maximum(out, np.abs(proj), out=out)
@@ -257,7 +245,6 @@ def rvar_M(
     if path != "layered":
         raise ValueError(f"unknown path {path!r}")
     grid = spec.grid
-    half = grid.samples // 2
     acc = np.zeros(grid.samples, dtype=np.complex128)
     for sym in spec.symbols:
         layered = vr_layer_decompose(Spectrum(grid, sym), spec.r, tol)
@@ -265,7 +252,7 @@ def rvar_M(
         # multiplier equals applying the layers one at a time
         for layer in layered.layers:
             for piece in layer:
-                acc[piece.lo + half : piece.hi + half] += piece.coeff
+                acc[grid.slot(piece.lo) : grid.slot(piece.hi)] += piece.coeff
     return apply_multiplier(f, Spectrum(grid, acc))
 
 
@@ -291,7 +278,6 @@ def delta_k(
     tiles = dk_tiles(sigma, k)
     if len(symbols) != len(tiles):
         raise ValueError(f"expected {len(tiles)} symbols, one per occupied tile")
-    half = grid.samples // 2
     acc = np.zeros(grid.samples, dtype=np.complex128)
     for tile, raw in zip(tiles, symbols):
         arr = np.asarray(raw, dtype=np.complex128)
@@ -301,7 +287,7 @@ def delta_k(
         span = hi_i - lo_i
         nz = np.flatnonzero(arr)
         if nz.size:
-            center = 0.5 * (lo_i + hi_i) + half
+            center = grid.slot(0.5 * (lo_i + hi_i))
             if (nz[0] < center - 1.5 * span) or (nz[-1] >= center + 1.5 * span):
                 raise SymbolSupportError(
                     "tile symbol is supported outside the dilated tile"
@@ -330,21 +316,19 @@ def corollary_constants(
     if not symbols_by_scale:
         raise ValueError("need symbols at one scale or more")
     grid = sigma.grid
-    half = grid.samples // 2
     m_samp = grid.samples
     scales = sorted(symbols_by_scale)
     seq = np.zeros((len(scales), sigma.indices.size), dtype=np.complex128)
     d2_val = 0.0
     freq_step = 1.0 / grid.period
     for row, k in enumerate(scales):
-        p = _check_resolvable(grid, k)
+        span = grid.tile_cells(k)
         tiles = dk_tiles(sigma, k)
         arrs = symbols_by_scale[k]
         if len(arrs) != len(tiles):
             raise ValueError(
                 f"scale {k}: expected {len(tiles)} symbols, one per occupied tile"
             )
-        span = 2 ** (p - k)
         if span < 3:
             raise ResolutionError(
                 f"scale 2^-{k} tiles span {span} cells; second differences need 3"
@@ -356,13 +340,13 @@ def corollary_constants(
             if arr.shape != (m_samp,):
                 raise ValueError("symbols must live on the full lattice")
             assembled += arr
-            a = tile.index_range()[0] + half
-            b = tile.index_range()[1] + half
-            d2 = arr[a + 2 : b] - 2.0 * arr[a + 1 : b - 1] + arr[a : b - 2]
+            lo, hi = tile.index_range()
+            seg = arr[grid.slot(lo) : grid.slot(hi)]
+            d2 = seg[2:] - 2.0 * seg[1:-1] + seg[:-2]
             if d2.size:
                 cand = width**2 * float(np.max(np.abs(d2))) / freq_step**2
                 d2_val = max(d2_val, cand)
-        seq[row] = assembled[sigma.indices + half]
+        seq[row] = assembled[grid.slot(sigma.indices)]
     # nonhomogeneous t-variation of each column, as variation_norm sums it
     hom = variation_dp(np.stack((seq.real, seq.imag), axis=1), t)
     vt = float(np.max(hom + np.max(np.abs(seq), axis=0)))

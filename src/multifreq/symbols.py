@@ -86,10 +86,10 @@ class LayeredSymbol:
 
     def layer_values(self, j: int) -> np.ndarray:
         """Tabulate layer j on the full frequency lattice."""
-        half = self.grid.samples // 2
+        slot = self.grid.slot
         out = np.zeros(self.grid.samples, dtype=np.complex128)
         for piece in self.layers[j]:
-            out[piece.lo + half : piece.hi + half] += piece.coeff
+            out[slot(piece.lo) : slot(piece.hi)] += piece.coeff
         return out
 
     def reconstruct(self) -> Spectrum:
@@ -379,18 +379,16 @@ class WindowSystem:
         return self.skeleton.grid
 
     def sum_phi(self) -> np.ndarray:
-        half = self.grid.samples // 2
         total = np.zeros(self.grid.samples, dtype=np.float64)
         for w in self.windows:
-            lo = w.phi_lo + half
+            lo = self.grid.slot(w.phi_lo)
             total[lo : lo + w.phi_values.shape[0]] += w.phi_values
         return total
 
     def phi_symbol(self, i: int) -> Spectrum:
-        half = self.grid.samples // 2
         vals = np.zeros(self.grid.samples, dtype=np.complex128)
         w = self.windows[i]
-        lo = w.phi_lo + half
+        lo = self.grid.slot(w.phi_lo)
         vals[lo : lo + w.phi_values.shape[0]] = w.phi_values
         return Spectrum(self.grid, vals)
 

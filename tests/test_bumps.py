@@ -15,7 +15,6 @@ from multifreq import (
     build_dk_symbol,
     bump_profile,
     dk_tiles,
-    make_bump,
     smoothstep,
 )
 
@@ -74,50 +73,6 @@ def test_profile_even_and_bounded(rng):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         bump_profile("box", 0.0)
-    with pytest.raises(ValueError):
-        make_bump("box", TorusGrid())
-
-
-# --------------------------------------------------------------------------
-# lattice bumps
-
-
-def test_make_bump_tabulates_profile(default_grid):
-    bump = make_bump("phi", default_grid)
-    xi = default_grid.frequencies()
-    assert np.array_equal(bump.values, bump_profile("phi", xi))
-    assert bump.plateau == 0.25 and bump.support == 0.5
-    assert bump.amplitude == 1.0
-    sym = bump.as_symbol()
-    assert sym.values.dtype == np.complex128
-
-
-def test_make_bump_scaling(default_grid):
-    bump = make_bump("phi", default_grid, scale=4.0)
-    assert bump.plateau == 1.0 and bump.support == 2.0
-    xi = default_grid.frequencies()
-    assert np.array_equal(bump.values, bump_profile("phi", xi / 4.0))
-
-
-def test_make_bump_under_resolved():
-    with pytest.raises(ResolutionError):
-        make_bump("eta", TorusGrid(8, 64))  # support 0.2 wide, under 2 cells
-    with pytest.raises(ResolutionError):
-        make_bump("phi", TorusGrid(128, 2 ** 15), scale=1 / 32)
-    with pytest.raises(ValueError):
-        make_bump("phi", TorusGrid(), scale=0.0)
-
-
-def test_eta_normalized_to_unit_lattice_mean(default_grid):
-    eta = make_bump("eta", default_grid)
-    mean = np.sum(eta.values) / default_grid.period
-    assert mean == pytest.approx(1.0, abs=1e-12)
-    assert np.all(eta.values >= 0)
-    # normalization trades the [0,1] cap for unit mass on a narrow bump
-    assert eta.amplitude == pytest.approx(np.max(eta.values))
-    assert eta.amplitude > 1.0
-    xi = default_grid.frequencies()
-    assert np.all(eta.values[np.abs(xi) > 0.1] == 0.0)
 
 
 def test_bump_second_difference_bound(default_grid):

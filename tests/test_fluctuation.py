@@ -23,7 +23,6 @@ from hypothesis.extra.numpy import arrays
 from multifreq import (
     EntropyProfile,
     TorusGrid,
-    FluctuationParams,
     entropy_count,
     entropy_integral,
     entropy_profile,
@@ -34,7 +33,7 @@ from multifreq import (
     variation_norm,
 )
 from multifreq.experiments import sample_rough_spec
-from multifreq.fluctuation import variation_dp
+from multifreq.fluctuation import _subset_ball_radii, variation_dp
 
 # --------------------------------------------------------------------------
 # local oracles
@@ -266,17 +265,6 @@ def test_variation_memory_is_linear():
     assert peak < 8 * 2**20
 
 
-def test_fluctuation_params_validation():
-    p = FluctuationParams()
-    assert p.q > 2 and p.r >= 1
-    with pytest.raises(ValueError):
-        FluctuationParams(q=2.0)
-    with pytest.raises(ValueError):
-        FluctuationParams(q=3.0, r=0.5)
-    with pytest.raises(ValueError):
-        FluctuationParams(mode="sideways")
-
-
 # --------------------------------------------------------------------------
 # smallest enclosing balls
 
@@ -316,6 +304,33 @@ def test_ball_center_encloses_everything(rng):
         c, r = min_enclosing_ball(pts)
         dist = np.sqrt(np.sum((pts - c) ** 2, axis=1))
         assert np.max(dist) <= r * (1 + 1e-9)
+
+
+def test_ball_of_many_points_does_not_recurse_per_point():
+    # the recursive form raised RecursionError from about 1000 points on
+    pts = np.random.default_rng(5).standard_normal((2000, 3))
+    c, r = min_enclosing_ball(pts)
+    dist = np.sqrt(np.sum((pts - c) ** 2, axis=1))
+    assert np.max(dist) <= r * (1 + 1e-12)
+    assert entropy_integral(pts, 4, 3.0) > 0.0
+
+
+# small integer coordinates give repeats, collinear and cocircular sets;
+# the reference is the library's exhaustive subset search behind
+# entropy_count(method="exact")
+_point_sets = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 12), st.integers(1, 3)),
+    elements=st.integers(-4, 4).map(float),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_point_sets)
+def test_ball_radius_matches_subset_enumeration(pts):
+    _, r = min_enclosing_ball(pts)
+    want = _subset_ball_radii(pts)[-1]
+    assert abs(r - want) <= 1e-9 * want
 
 
 # --------------------------------------------------------------------------

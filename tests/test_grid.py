@@ -12,17 +12,23 @@ from multifreq import (
     FrequencySet,
     GridMismatchError,
     ResolutionError,
+    ScaleRange,
     Signal,
     Spectrum,
     TorusGrid,
     apply_multiplier,
+    build_dk_symbol,
+    corollary_constants,
+    dk_tiles,
     forward_transform,
     grid_from_config,
     grid_to_config,
     inverse_transform,
+    sharp_maximal,
     signal_from_csv,
     signal_to_csv,
     spectrum_to_csv,
+    vq_dk,
 )
 
 
@@ -266,6 +272,38 @@ def test_dyadic_interval_representative(default_grid):
         DyadicFreqInterval(default_grid, k=0, m=3, xi_rep_index=200)
     with pytest.raises(ValueError):
         DyadicFreqInterval(default_grid, k=0, m=3).xi_rep
+
+
+# --------------------------------------------------------------------------
+# lattice layout
+
+
+def test_slot_and_tile_cells(small_grid):
+    grid = small_grid
+    assert np.array_equal(grid.slot(grid.freq_indices()), np.arange(grid.samples))
+    assert grid.slot(0) == grid.samples // 2
+    assert grid.finest_scale == 3
+    assert [grid.tile_cells(k) for k in range(4)] == [8, 4, 2, 1]
+
+
+_TOO_FINE = {
+    "DyadicFreqInterval": lambda grid, sigma, f, k: DyadicFreqInterval(grid, k, 0),
+    "dk_tiles": lambda grid, sigma, f, k: dk_tiles(sigma, k),
+    "build_dk_symbol": lambda grid, sigma, f, k: build_dk_symbol(sigma, k),
+    "vq_dk": lambda grid, sigma, f, k: vq_dk(f, sigma, 3.0, ScaleRange(1, k)),
+    "sharp_maximal": lambda grid, sigma, f, k: sharp_maximal(f, sigma, ScaleRange(1, k)),
+    "corollary_constants": lambda grid, sigma, f, k: corollary_constants(
+        {k: [np.zeros(grid.samples)]}, sigma, 3.0
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_TOO_FINE))
+def test_scale_below_the_lattice_step_is_rejected(small_grid, site):
+    sigma = FrequencySet(small_grid, np.array([0]))
+    f = Signal(small_grid, np.ones(small_grid.samples))
+    with pytest.raises(ResolutionError):
+        _TOO_FINE[site](small_grid, sigma, f, small_grid.finest_scale + 1)
 
 
 # --------------------------------------------------------------------------
