@@ -1,0 +1,66 @@
+"""Print one sha256 per ``run_suite`` pass of the benchmark's suites.
+
+Each digest covers the three files a pass writes (``<exp>.csv``,
+``<exp>_fit.csv`` and ``manifest.txt``), so two trees whose digests
+agree wrote the same bytes.  The suites, their configs and the pass
+seeds come from ``perfbench/workloads.py``, which is only read.  The
+library is imported from ``PYTHONPATH``, so the same script checks any
+tree:
+
+    PYTHONPATH=src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > new.txt
+    PYTHONPATH=/path/to/other/src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > old.txt
+    diff old.txt new.txt
+
+Output lines are ``<suite> <run seed> <pass seed> <sha256>``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+SUITES = [name for name, w in workloads.WORKLOADS.items() if isinstance(w, workloads.Suite)]
+
+
+def _seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def pass_digest(suite, pass_seed: int, workers: int) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        config = suite.config(pass_seed, out)
+        workloads.mx.run_suite(config, workers=workers)
+        digest = hashlib.sha256()
+        for name in (f"{config.experiment}.csv", f"{config.experiment}_fit.csv", "manifest.txt"):
+            with open(os.path.join(out, name), "rb") as fh:
+                digest.update(fh.read())
+        return digest.hexdigest()
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--suites", nargs="+", choices=SUITES, default=SUITES)
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("0-9"), help="run seeds, e.g. 0-9")
+    parser.add_argument("--passes", type=int, default=10, help="passes per run seed")
+    parser.add_argument("--workers", type=int, default=1)
+    args = parser.parse_args(argv)
+    print(f"multifreq from {os.path.dirname(workloads.multifreq.__file__)}", file=sys.stderr)
+    for name in args.suites:
+        for seed in args.seeds:
+            for i in range(args.passes):
+                ps = workloads.pass_seed(seed, i)
+                digest = pass_digest(workloads.WORKLOADS[name], ps, args.workers)
+                print(name, seed, ps, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()

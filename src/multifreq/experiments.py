@@ -3,8 +3,17 @@
 The variational composites are sublinear, so their norms are estimated
 from below by maxima over structured input families rather than by power
 iteration.  Every trial derives its generator from (master seed, point
-size, trial index), which makes the estimates independent of execution
-order: a work pool of any width reproduces the serial numbers exactly.
+size, trial index), so a trial's input depends only on (seed, N, trial)
+and the estimates are independent of execution order: a work pool of any
+width reproduces the serial numbers exactly.
+
+Work is split in two.  ``_build_setup`` makes one frozen plan per N: the
+sampled frequency set or interval spec, the scale-window symbol stack
+for ``vq_dk`` and the assembled symbol for ``rough_T``/``rvar_M``.  The
+trials then run in blocks of ``TRIAL_BLOCK``, and a block computes each
+exponential its sign trials share once.  Plans and blocks share work but
+never change a bit: every trial does the same arithmetic, in the same
+order, as it would alone.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bumps import plateau_profile
+from .bumps import build_dk_symbol, plateau_profile
 from .grid import (
     FrequencySet,
     Signal,
@@ -26,11 +35,9 @@ from .grid import (
 )
 from .operators import (
     RoughMultiplierSpec,
-    ScaleRange,
-    dk_apply,
+    default_scale_range,
     rough_T,
     rvar_M,
-    sharp_maximal,
     vq_dk,
 )
 
@@ -39,8 +46,6 @@ __all__ = [
     "FitResult",
     "ScalingRow",
     "ScalingReport",
-    "estimate_strong_norm",
-    "estimate_weak11",
     "weak_lambda_scan",
     "fit_scaling",
     "run_suite",
@@ -48,6 +53,10 @@ __all__ = [
 ]
 
 _STRONG_FAMILIES = ("gaussian", "signs", "atom")
+
+# trials whose inputs are made together; bounds the memory of a block's
+# sign inputs for any trial count
+TRIAL_BLOCK = 8
 
 
 def _setup_rng(seed: int, n: int) -> np.random.Generator:
@@ -102,55 +111,36 @@ def sample_rough_spec(
 
 
 @dataclass(frozen=True)
-class _OpSetup:
+class _Plan:
+    """What every trial of one N shares: the operator with its symbols
+    built, the frequency zones the gaussian family paints, and the
+    representative frequencies the sign family combines."""
+
     op: Callable[[Signal], Signal]
     zones: tuple[tuple[int, int], ...]
     reps: np.ndarray
 
 
-def _build_setup(op_id: str, params: dict, seed: int) -> _OpSetup:
-    grid = params["grid"]
-    if op_id in ("dk_apply", "vq_dk", "sharp_maximal"):
-        sigma = params.get("sigma")
-        if sigma is None:
-            sigma = sample_separated_set(grid, int(params["n"]), _setup_rng(seed, int(params["n"])))
-        if op_id == "dk_apply":
-            k = int(params.get("k", 3))
-            halfw = max(grid.tile_cells(k) // 2, 1)
-            op = lambda f: dk_apply(f, sigma, k)
-        elif op_id == "vq_dk":
-            q = float(params.get("q", 3.0))
-            sr = params.get("scale_range")
-            halfw = grid.tile_cells(1) // 2
-            op = lambda f: vq_dk(f, sigma, q, scale_range=sr)
-        else:
-            sr = params.get("scale_range")
-            halfw = grid.tile_cells(1)
-            op = lambda f: sharp_maximal(f, sigma, sr)
+def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, r: float, seed: int) -> _Plan:
+    # trials call the operators through this module's bindings, so
+    # wrappers installed on them see every call
+    rng = _setup_rng(seed, n)
+    if op_id == "vq_dk":
+        sigma = sample_separated_set(grid, n, rng)
+        stack = tuple(build_dk_symbol(sigma, k) for k in default_scale_range(grid).scales())
+        halfw = grid.tile_cells(1) // 2
         half = grid.samples // 2
         zones = tuple(
-            (max(int(n) - halfw, -half), min(int(n) + halfw + 1, half))
-            for n in sigma.indices
+            (max(int(c) - halfw, -half), min(int(c) + halfw + 1, half)) for c in sigma.indices
         )
-        return _OpSetup(op, zones, sigma.indices)
-    if op_id in ("rough_T", "rvar_M"):
-        spec = params.get("spec")
-        if spec is None:
-            spec = sample_rough_spec(
-                grid,
-                int(params["n"]),
-                _setup_rng(seed, int(params["n"])),
-                with_symbols=(op_id == "rvar_M"),
-                r=float(params.get("r", 2.0)),
-            )
-        if op_id == "rough_T":
-            op = lambda f: rough_T(f, spec)
-        else:
-            path = params.get("path", "direct")
-            op = lambda f: rvar_M(f, spec, path)
-        reps = np.array([(lo + hi) // 2 for lo, hi in spec.intervals])
-        return _OpSetup(op, spec.intervals, reps)
-    raise ValueError(f"unknown operator id {op_id!r}")
+        return _Plan(lambda f: vq_dk(f, sigma, q, symbols=stack), zones, sigma.indices)
+    spec = sample_rough_spec(grid, n, rng, with_symbols=(op_id == "rvar_M"), r=r)
+    if op_id == "rough_T":
+        op = lambda f: rough_T(f, spec)
+    else:
+        op = lambda f: rvar_M(f, spec)
+    reps = np.array([(lo + hi) // 2 for lo, hi in spec.intervals])
+    return _Plan(op, spec.intervals, reps)
 
 
 def _gaussian_zone_input(grid: TorusGrid, zones, rng) -> Signal:
@@ -166,15 +156,23 @@ def _gaussian_zone_input(grid: TorusGrid, zones, rng) -> Signal:
     return inverse_transform(Spectrum(grid, spec))
 
 
-def _sign_combo_input(grid: TorusGrid, reps, rng) -> Signal:
+def _sign_combo_block(grid: TorusGrid, reps, rngs) -> list[Signal]:
+    """One enveloped random-sign combination of e(n x), n in ``reps``, per
+    generator.  Each exponential is computed once for the whole block and
+    added into every accumulator in rep order, so each signal has the
+    bits it would have if made alone."""
+    if not rngs:
+        return []
     x = grid.positions()
     dist = np.minimum(x, grid.period - x)
     env = plateau_profile(dist, grid.period / 4.0, grid.period / 2.0 - 0.5)
-    acc = np.zeros(grid.samples, dtype=np.complex128)
-    signs = rng.choice(np.array([-1.0, 1.0]), size=len(reps))
-    for s, n in zip(signs, reps):
-        acc += s * np.exp(2j * np.pi * (int(n) / grid.period) * x)
-    return Signal(grid, env * acc)
+    accs = np.zeros((len(rngs), grid.samples), dtype=np.complex128)
+    signs = [rng.choice(np.array([-1.0, 1.0]), size=len(reps)) for rng in rngs]
+    for j, n in enumerate(reps):
+        e = np.exp(2j * np.pi * (int(n) / grid.period) * x)
+        for acc, s in zip(accs, signs):
+            acc += s[j] * e
+    return [Signal(grid, env * acc) for acc in accs]
 
 
 def _atom_input(grid: TorusGrid, rng) -> Signal:
@@ -217,79 +215,57 @@ def weak_lambda_scan(values, h: float, norm1: float, n_lambda: int = 64) -> floa
 
 
 def _run_trials(
-    op_id: str,
-    params: dict,
+    plan: _Plan,
+    grid: TorusGrid,
+    n: int,
     trials: int,
     seed: int,
     family: str,
     workers: int,
     weak: bool,
 ) -> tuple[float, str]:
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    setup = _build_setup(op_id, params, seed)
-    grid = params["grid"]
-    n_key = int(params.get("n", 0))
+    def label_of(trial: int) -> str:
+        if weak:
+            return "delta-or-atom"
+        return family if family != "all" else _STRONG_FAMILIES[trial % 3]
 
-    def one(trial: int) -> tuple[float, str]:
-        rng = _trial_rng(seed, n_key, trial)
-        if weak:
-            f = _weak_input(grid, rng)
-            label = "delta-or-atom"
-        else:
-            label = family if family != "all" else _STRONG_FAMILIES[trial % 3]
-            if label == "gaussian":
-                f = _gaussian_zone_input(grid, setup.zones, rng)
-            elif label == "signs":
-                f = _sign_combo_input(grid, setup.reps, rng)
-            elif label == "atom":
-                f = _atom_input(grid, rng)
+    def one(trial: int, f: Signal | None) -> tuple[float, str]:
+        label = label_of(trial)
+        if f is None:
+            rng = _trial_rng(seed, n, trial)
+            if weak:
+                f = _weak_input(grid, rng)
+            elif label == "gaussian":
+                f = _gaussian_zone_input(grid, plan.zones, rng)
             else:
-                raise ValueError(f"unknown input family {family!r}")
-        if weak:
-            denom = f.norm1()
-        else:
-            denom = f.norm2()
+                f = _atom_input(grid, rng)
+        denom = f.norm1() if weak else f.norm2()
         if denom == 0.0:
             return 0.0, f"{label}[{trial}]"
-        out = setup.op(f)
+        out = plan.op(f)
         if weak:
             value = weak_lambda_scan(out.values, grid.h, denom)
         else:
             value = out.norm2() / denom
         return value, f"{label}[{trial}]"
 
+    def blocks(run):
+        results = []
+        for start in range(0, trials, TRIAL_BLOCK):
+            block = range(start, min(start + TRIAL_BLOCK, trials))
+            signed = [t for t in block if label_of(t) == "signs"]
+            made = _sign_combo_block(grid, plan.reps, [_trial_rng(seed, n, t) for t in signed])
+            inputs = dict(zip(signed, made))
+            results.extend(run(one, block, [inputs.get(t) for t in block]))
+        return results
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(trials)))
+            results = blocks(pool.map)
     else:
-        results = [one(i) for i in range(trials)]
+        results = blocks(map)
     best = max(range(trials), key=lambda i: (results[i][0], -i))
     return results[best]
-
-
-def estimate_strong_norm(
-    op_id: str,
-    params: dict,
-    trials: int = 64,
-    seed: int = 0,
-    family: str = "all",
-    workers: int = 1,
-) -> float:
-    """Max over trial inputs of ||Op f||_2 / ||f||_2."""
-    return _run_trials(op_id, params, trials, seed, family, workers, weak=False)[0]
-
-
-def estimate_weak11(
-    op_id: str,
-    params: dict,
-    trials: int = 64,
-    seed: int = 0,
-    workers: int = 1,
-) -> float:
-    """Max over delta and mean-zero atom trials of the lambda-scan of
-    lambda * measure{|Op f| >= lambda} / ||f||_1."""
-    return _run_trials(op_id, params, trials, seed, "all", workers, weak=True)[0]
 
 
 class FitResult(NamedTuple):
@@ -377,6 +353,8 @@ class ExperimentConfig:
             raise ValueError("largest N exceeds the separated-frequency budget")
         if self.fmt not in ("csv", "csv+svg"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.family != "all" and self.family not in _STRONG_FAMILIES:
+            raise ValueError(f"unknown input family {self.family!r}")
 
     def grid(self) -> TorusGrid:
         return TorusGrid(period=self.grid_period, samples=self.grid_samples)
@@ -425,15 +403,18 @@ def run_suite(config: ExperimentConfig, workers: int = 1) -> ScalingReport:
     grid = config.grid()
     rows = []
     for n in config.n_list:
-        params = {"grid": grid, "n": n, "q": config.q, "r": config.r}
-        if kind == "strong":
-            est, desc = _run_trials(
-                op_id, params, config.trials, config.seed, config.family, workers, weak=False
-            )
-        else:
-            est, desc = _run_trials(
-                op_id, params, config.trials, config.seed, "all", workers, weak=True
-            )
+        # no name holds the plan, so one N's symbols are freed before the
+        # next N's are built
+        est, desc = _run_trials(
+            _build_setup(op_id, grid, n, float(config.q), float(config.r), config.seed),
+            grid,
+            n,
+            config.trials,
+            config.seed,
+            config.family,
+            workers,
+            weak=(kind == "weak"),
+        )
         rows.append(ScalingRow(n, est, config.trials, desc))
     if any(r.estimate <= 0.0 for r in rows):
         fit = FitResult(0.0, 0.0, 0.0, 0.0, "none", True)

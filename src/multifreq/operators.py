@@ -135,12 +135,7 @@ class RoughMultiplierSpec:
             norms = tuple(symbol_vr_norm(s, self.r) for s in syms)
             object.__setattr__(self, "vr_norms", norms)
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.intervals)
-
-    def assembled_symbol(self) -> Spectrum:
-        """Single multiplier: sum of coefficient indicators or of symbols."""
+        # the single multiplier, summed once for every application to share
         slot = self.grid.slot
         acc = np.zeros(self.grid.samples, dtype=np.complex128)
         if self.coefficients is not None:
@@ -149,7 +144,19 @@ class RoughMultiplierSpec:
         else:
             for s in self.symbols:
                 acc += s
-        return Spectrum(self.grid, acc)
+        object.__setattr__(self, "_assembled", Spectrum(self.grid, acc))
+
+    @property
+    def n_intervals(self) -> int:
+        return len(self.intervals)
+
+    def assembled_symbol(self) -> Spectrum:
+        """Single multiplier: sum of coefficient indicators or of symbols.
+
+        Built with the spec; every call returns the same read-only
+        ``Spectrum``.
+        """
+        return self._assembled
 
 
 def dk_apply(f: Signal, sigma: FrequencySet, k: int, variant: str = "tiled") -> Signal:
@@ -166,6 +173,8 @@ def vq_dk(
     scale_range: ScaleRange | None = None,
     mode: str = "nonhomogeneous",
     variant: str = "tiled",
+    *,
+    symbols: Sequence[Spectrum] | None = None,
 ) -> Signal:
     """Pointwise q-variation of the scale-window outputs across scales.
 
@@ -173,6 +182,10 @@ def vq_dk(
     applied to f)(x) is reduced to its q-variation; nonhomogeneous mode
     takes the maximum of that and the pointwise supremum over scales
     (``variation_norm`` adds the two instead).
+
+    ``symbols``, if given, holds ``build_dk_symbol(sigma, k, variant)`` for
+    each k of the scale range in order, so callers applying one operator
+    many times build the stack once.
     """
     if q <= 2:
         raise ValueError("variation exponent q must exceed 2")
@@ -183,10 +196,15 @@ def vq_dk(
     if scale_range is None:
         scale_range = default_scale_range(f.grid)
     f.grid.tile_cells(scale_range.k_max)  # raises ResolutionError below the lattice step
+    if symbols is None:
+        symbols = (build_dk_symbol(sigma, k, variant) for k in scale_range.scales())
+    elif len(symbols) != len(scale_range):
+        raise ValueError(f"expected {len(scale_range)} symbols, one per scale")
+    elif any(sym.grid != f.grid for sym in symbols):
+        raise GridMismatchError("signal and scale symbols live on different grids")
     fhat = forward_transform(f)
     stack = np.empty((len(scale_range), f.grid.samples), dtype=np.complex128)
-    for row, k in enumerate(scale_range.scales()):
-        sym = build_dk_symbol(sigma, k, variant)
+    for row, sym in enumerate(symbols):
         stack[row] = inverse_transform(Spectrum(f.grid, fhat.values * sym.values)).values
     out = variation_dp(np.stack((stack.real, stack.imag), axis=1), q)
     if mode == "nonhomogeneous":

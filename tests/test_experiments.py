@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import multifreq.experiments as mx
+from multifreq.bumps import plateau_profile
 from multifreq.experiments import (
     ExperimentConfig,
     FitResult,
@@ -10,13 +13,127 @@ from multifreq.experiments import (
     run_suite,
     weak_lambda_scan,
 )
+from multifreq.grid import Signal, TorusGrid
+from multifreq.operators import rough_T, rvar_M, vq_dk
 
 N_LIST = (2, 4, 8, 16)
+SMALL = TorusGrid(16, 2**10)
+EXPERIMENTS = ["vq-l2-scaling", "weak11-scaling", "rough-mult-scaling", "rvar-mult"]
 
 
-@pytest.mark.parametrize(
-    "experiment", ["vq-l2-scaling", "weak11-scaling", "rough-mult-scaling", "rvar-mult"]
+# ---------------------------------------------------------------------------
+# oracles
+
+def sign_combo_input(grid, reps, rng):
+    """One sign trial's input made alone: random signs on e(n x), n in
+    reps, summed in rep order and enveloped."""
+    x = grid.positions()
+    dist = np.minimum(x, grid.period - x)
+    env = plateau_profile(dist, grid.period / 4.0, grid.period / 2.0 - 0.5)
+    acc = np.zeros(grid.samples, dtype=np.complex128)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=len(reps))
+    for s, n in zip(signs, reps):
+        acc += s * np.exp(2j * np.pi * (int(n) / grid.period) * x)
+    return Signal(grid, env * acc)
+
+
+def per_trial_rows(config):
+    """(n, estimate, argmax) per N from a plain loop: a fresh generator per
+    trial, each input made alone, and the operators applied with no plan."""
+    kind, op_id = mx._EXPERIMENTS[config.experiment]
+    grid = config.grid()
+    half = grid.samples // 2
+    rows = []
+    for n in config.n_list:
+        setup = mx._setup_rng(config.seed, n)
+        if op_id == "vq_dk":
+            sigma = mx.sample_separated_set(grid, n, setup)
+            op = lambda f: vq_dk(f, sigma, config.q)
+            halfw = grid.tile_cells(1) // 2
+            zones = [
+                (max(int(c) - halfw, -half), min(int(c) + halfw + 1, half))
+                for c in sigma.indices
+            ]
+            reps = sigma.indices
+        else:
+            spec = mx.sample_rough_spec(
+                grid, n, setup, with_symbols=(op_id == "rvar_M"), r=config.r
+            )
+            op = (lambda f: rough_T(f, spec)) if op_id == "rough_T" else (lambda f: rvar_M(f, spec))
+            zones = spec.intervals
+            reps = [(lo + hi) // 2 for lo, hi in spec.intervals]
+        best = None
+        for trial in range(config.trials):
+            rng = mx._trial_rng(config.seed, n, trial)
+            if kind == "weak":
+                label = "delta-or-atom"
+                f = mx._weak_input(grid, rng)
+                denom = f.norm1()
+            else:
+                label = config.family
+                if label == "all":
+                    label = ("gaussian", "signs", "atom")[trial % 3]
+                if label == "gaussian":
+                    f = mx._gaussian_zone_input(grid, zones, rng)
+                elif label == "signs":
+                    f = sign_combo_input(grid, reps, rng)
+                else:
+                    f = mx._atom_input(grid, rng)
+                denom = f.norm2()
+            if denom == 0.0:
+                value = 0.0
+            elif kind == "weak":
+                value = weak_lambda_scan(op(f).values, grid.h, denom)
+            else:
+                value = op(f).norm2() / denom
+            if best is None or value > best[0]:
+                best = (value, f"{label}[{trial}]")
+        rows.append((n, *best))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# the trial plan reproduces every bit of the per-trial loop
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-512, 511), min_size=1, max_size=12, unique=True),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
 )
+def test_sign_block_matches_inputs_made_alone(reps, count, seed):
+    reps = np.array(reps)
+    block = mx._sign_combo_block(SMALL, reps, [mx._trial_rng(seed, 7, t) for t in range(count)])
+    alone = [sign_combo_input(SMALL, reps, mx._trial_rng(seed, 7, t)) for t in range(count)]
+    assert [f.values.tobytes() for f in block] == [f.values.tobytes() for f in alone]
+
+
+@pytest.mark.parametrize("family", ["all", "signs"])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_suite_rows_match_a_per_trial_loop(tmp_path, experiment, family):
+    # 20 trials make three blocks, each holding several sign trials
+    config = ExperimentConfig(
+        experiment,
+        grid_period=SMALL.period,
+        grid_samples=SMALL.samples,
+        n_list=N_LIST,
+        trials=20,
+        seed=11,
+        family=family,
+        out_dir=str(tmp_path),
+    )
+    report = run_suite(config)
+    got = [(r.n, r.estimate.hex(), r.argmax) for r in report.rows]
+    want = [(n, est.hex(), label) for n, est, label in per_trial_rows(config)]
+    assert got == want
+
+
+def test_unknown_family_is_rejected():
+    with pytest.raises(ValueError, match="family"):
+        ExperimentConfig("weak11-scaling", family="bogus")
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_run_suite_bytes_do_not_depend_on_workers(tmp_path, experiment):
     written = []
     for workers in (1, 2):

@@ -240,6 +240,22 @@ def test_vq_dk_matches_exhaustive_oracle(default_grid, rng):
             assert out[x] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
+def test_vq_dk_with_a_prebuilt_symbol_stack(default_grid, rng):
+    g = default_grid
+    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
+    sigma = FrequencySet(g, np.array([-512, 256, 3000]))
+    sr = ScaleRange(2, 5)
+    stack = [build_dk_symbol(sigma, k) for k in sr.scales()]
+    out = vq_dk(f, sigma, 3.0, scale_range=sr, symbols=stack)
+    assert out.values.tobytes() == vq_dk(f, sigma, 3.0, scale_range=sr).values.tobytes()
+    with pytest.raises(ValueError):
+        vq_dk(f, sigma, 3.0, scale_range=sr, symbols=stack[:-1])
+    other = FrequencySet(TorusGrid(128, 2**14), np.array([256]))
+    foreign = [build_dk_symbol(other, k) for k in sr.scales()]
+    with pytest.raises(GridMismatchError):
+        vq_dk(f, sigma, 3.0, scale_range=sr, symbols=foreign)
+
+
 def test_vq_dk_monotone_in_range(default_grid, rng):
     g = default_grid
     f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
@@ -311,6 +327,21 @@ def test_rough_t_whole_band(default_grid, rng):
     spec = RoughMultiplierSpec(g, ((-half, half),), coefficients=np.array([1.0]))
     out = rough_T(f, spec)
     assert (out - f).norm2() <= 1e-13 * f.norm2()
+
+
+def test_assembled_symbol_is_built_once(default_grid):
+    g = default_grid
+    half = g.samples // 2
+    s = np.zeros(g.samples, dtype=np.complex128)
+    s[half : half + 10] = 1.0
+    specs = (
+        RoughMultiplierSpec(g, ((0, 10),), symbols=(s,)),
+        RoughMultiplierSpec(g, ((0, 10), (20, 30)), coefficients=np.array([1.0, 0.5j])),
+    )
+    for spec in specs:
+        first = spec.assembled_symbol()
+        assert spec.assembled_symbol() is first
+        assert not first.values.flags.writeable
 
 
 def test_rough_t_zero_coefficients(default_grid, rng):
