@@ -1,8 +1,9 @@
-"""Print one sha256 per ``run_suite`` pass of the benchmark's suites.
+"""Print the sha256 of each file the benchmark's ``run_suite`` passes write.
 
-Each digest covers the three files a pass writes (``<exp>.csv``,
-``<exp>_fit.csv`` and ``manifest.txt``), so two trees whose digests
-agree wrote the same bytes.  The suites, their configs and the pass
+Every pass writes three files (``<exp>.csv``, ``<exp>_fit.csv`` and
+``manifest.txt``) and gets one line per file, so two trees whose lines
+agree wrote the same bytes, and a change to one file shows as that
+file's lines alone in a diff.  The suites, their configs and the pass
 seeds come from ``perfbench/workloads.py``, which is only read.  The
 library is imported from ``PYTHONPATH``, so the same script checks any
 tree:
@@ -11,7 +12,7 @@ tree:
     PYTHONPATH=/path/to/other/src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > old.txt
     diff old.txt new.txt
 
-Output lines are ``<suite> <run seed> <pass seed> <sha256>``.
+Output lines are ``<suite> <run seed> <pass seed> <file> <sha256>``.
 """
 
 from __future__ import annotations
@@ -35,15 +36,16 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def pass_digest(suite, pass_seed: int, workers: int) -> str:
+def pass_digests(suite, pass_seed: int, workers: int) -> list[tuple[str, str]]:
+    """(file name, sha256) for each file one pass writes."""
     with tempfile.TemporaryDirectory() as out:
         config = suite.config(pass_seed, out)
         workloads.mx.run_suite(config, workers=workers)
-        digest = hashlib.sha256()
+        digests = []
         for name in (f"{config.experiment}.csv", f"{config.experiment}_fit.csv", "manifest.txt"):
             with open(os.path.join(out, name), "rb") as fh:
-                digest.update(fh.read())
-        return digest.hexdigest()
+                digests.append((name, hashlib.sha256(fh.read()).hexdigest()))
+        return digests
 
 
 def main(argv=None) -> None:
@@ -58,8 +60,8 @@ def main(argv=None) -> None:
         for seed in args.seeds:
             for i in range(args.passes):
                 ps = workloads.pass_seed(seed, i)
-                digest = pass_digest(workloads.WORKLOADS[name], ps, args.workers)
-                print(name, seed, ps, digest, flush=True)
+                for file, digest in pass_digests(workloads.WORKLOADS[name], ps, args.workers):
+                    print(name, seed, ps, file, digest, flush=True)
 
 
 if __name__ == "__main__":

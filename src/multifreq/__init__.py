@@ -12,13 +12,10 @@ from .grid import (
     DyadicFreqInterval,
     FrequencySet,
     Signal,
-    SpectralSymbol,
     Spectrum,
     TorusGrid,
     apply_multiplier,
     forward_transform,
-    grid_from_config,
-    grid_to_config,
     inverse_transform,
     signal_from_csv,
     signal_to_csv,

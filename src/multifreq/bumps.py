@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DyadicFreqInterval, FrequencySet, Spectrum, SpectralSymbol, TorusGrid
+from .grid import DyadicFreqInterval, FrequencySet, Spectrum, TorusGrid
 
 __all__ = [
     "smoothstep",
@@ -98,7 +98,7 @@ def _add_scaled_window(acc: np.ndarray, grid: TorusGrid, center_idx: int, k: int
     acc[grid.slot(n)] += bump_profile("phi", xi_rel * 2.0 ** k)
 
 
-def build_dk_symbol(sigma: FrequencySet, k: int, variant: str = "tiled") -> SpectralSymbol:
+def build_dk_symbol(sigma: FrequencySet, k: int, variant: str = "tiled") -> Spectrum:
     """Symbol of the scale-k window sum over a frequency set.
 
     variant "separated": one width-2^-k window centered at each frequency;

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .grid import (
     Signal,
     Spectrum,
     TorusGrid,
+    _cell,
     inverse_transform,
+    write_csv,
 )
 from .operators import (
     RoughMultiplierSpec,
@@ -49,7 +51,6 @@ __all__ = [
     "weak_lambda_scan",
     "fit_scaling",
     "run_suite",
-    "scaling_svg",
 ]
 
 _STRONG_FAMILIES = ("gaussian", "signs", "atom")
@@ -290,22 +291,12 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, min(max(r2, 0.0), 1.0)
 
 
-def _fit_points(rows) -> tuple[np.ndarray, np.ndarray]:
-    pts = []
-    for row in rows:
-        if hasattr(row, "n"):
-            pts.append((int(row.n), float(row.estimate)))
-        else:
-            pts.append((int(row[0]), float(row[1])))
-    pts.sort()
-    ns = np.array([p[0] for p in pts], dtype=np.float64)
-    ests = np.array([p[1] for p in pts], dtype=np.float64)
-    return ns, ests
-
-
 def fit_scaling(rows) -> FitResult:
-    """Least squares of log(estimate) on log(N) and on log(log(N))."""
-    ns, ests = _fit_points(rows)
+    """Least squares of log(estimate) on log(N) and on log(log(N)), from
+    ``(N, estimate)`` pairs."""
+    pts = sorted((int(n), float(est)) for n, est in rows)
+    ns = np.array([n for n, _ in pts], dtype=np.float64)
+    ests = np.array([est for _, est in pts], dtype=np.float64)
     if ns.size < 4:
         raise ValueError("scaling fits need at least 4 rows")
     if np.any(ests <= 0.0):
@@ -321,10 +312,21 @@ def fit_scaling(rows) -> FitResult:
     return FitResult(alpha, r2p, beta, r2l, preferred, False)
 
 
+# experiment id -> (norm kind, operator id)
+_EXPERIMENTS = {
+    "vq-l2-scaling": ("strong", "vq_dk"),
+    "weak11-scaling": ("weak", "vq_dk"),
+    "rough-mult-scaling": ("weak", "rough_T"),
+    "rvar-mult": ("strong", "rvar_M"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a scaling run depends on; hashing the fields pins the
-    outputs byte for byte."""
+    outputs byte for byte.  ``manifest.txt`` echoes every field except
+    ``out_dir``, so a field added here is recorded with no other edit.
+    A config that constructs is one ``run_suite`` can run."""
 
     experiment: str
     grid_period: int = 128
@@ -336,12 +338,13 @@ class ExperimentConfig:
     seed: int = 0
     family: str = "all"
     out_dir: str = "."
-    fmt: str = "csv"
 
     def __post_init__(self):
+        if self.experiment not in _EXPERIMENTS:
+            raise ValueError(f"unknown experiment id {self.experiment!r}")
         ns = tuple(sorted(set(int(n) for n in self.n_list)))
-        if not ns:
-            raise ValueError("n_list must be nonempty")
+        if len(ns) < 4:
+            raise ValueError("scaling fits need at least 4 points in n_list")
         if ns[0] < 2:
             raise ValueError("point sizes start at 2")
         object.__setattr__(self, "n_list", ns)
@@ -349,10 +352,11 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        self.grid()  # raises ValueError for a grid TorusGrid rejects
         if ns[-1] * self.grid_period > self.grid_samples // 2:
             raise ValueError("largest N exceeds the separated-frequency budget")
-        if self.fmt not in ("csv", "csv+svg"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+        if _EXPERIMENTS[self.experiment][1] == "vq_dk" and self.q <= 2:
+            raise ValueError("variation exponent q must exceed 2")
         if self.family != "all" and self.family not in _STRONG_FAMILIES:
             raise ValueError(f"unknown input family {self.family!r}")
 
@@ -384,21 +388,9 @@ class ScalingReport:
             raise ValueError("rows must be sorted by N")
 
 
-_EXPERIMENTS = {
-    "vq-l2-scaling": ("strong", "vq_dk"),
-    "weak11-scaling": ("weak", "vq_dk"),
-    "rough-mult-scaling": ("weak", "rough_T"),
-    "rvar-mult": ("strong", "rvar_M"),
-}
-
-
 def run_suite(config: ExperimentConfig, workers: int = 1) -> ScalingReport:
-    """Run one named experiment over the N list and write CSV, fit, SVG
-    (if requested), and a manifest into the output directory."""
-    if config.experiment not in _EXPERIMENTS:
-        raise ValueError(f"unknown experiment id {config.experiment!r}")
-    if len(config.n_list) < 4:
-        raise ValueError("scaling fits need at least 4 points in n_list")
+    """Run one named experiment over the N list and write the estimates,
+    the fit and a manifest into the output directory."""
     kind, op_id = _EXPERIMENTS[config.experiment]
     grid = config.grid()
     rows = []
@@ -419,7 +411,7 @@ def run_suite(config: ExperimentConfig, workers: int = 1) -> ScalingReport:
     if any(r.estimate <= 0.0 for r in rows):
         fit = FitResult(0.0, 0.0, 0.0, 0.0, "none", True)
     else:
-        fit = fit_scaling(rows)
+        fit = fit_scaling([(r.n, r.estimate) for r in rows])
     report = ScalingReport(config.experiment, tuple(rows), fit)
     _write_report(config, report)
     return report
@@ -428,147 +420,25 @@ def run_suite(config: ExperimentConfig, workers: int = 1) -> ScalingReport:
 def _write_report(config: ExperimentConfig, report: ScalingReport) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     base = os.path.join(config.out_dir, report.experiment)
-    lines = ["experiment,n,estimate,trials,argmax"]
-    for r in report.rows:
-        lines.append(f"{report.experiment},{r.n},{r.estimate:.17g},{r.trials},{r.argmax}")
-    with open(base + ".csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    f = report.fit
-    with open(base + "_fit.csv", "w") as fh:
-        fh.write("alpha,r2_power,beta,r2_log,preferred,degenerate\n")
-        fh.write(
-            f"{f.alpha:.17g},{f.r2_power:.17g},{f.beta:.17g},{f.r2_log:.17g},"
-            f"{f.preferred},{int(f.degenerate)}\n"
-        )
-    write_manifest(config.out_dir, _config_pairs(config))
-    if config.fmt == "csv+svg":
-        scaling_svg(report, base + ".svg")
+    rows = ((report.experiment, r.n, r.estimate, r.trials, r.argmax) for r in report.rows)
+    write_csv(base + ".csv", "experiment,n,estimate,trials,argmax", rows)
+    write_csv(base + "_fit.csv", ",".join(FitResult._fields), [report.fit])
+    # the config echo plus library versions; no timestamps, so reruns of
+    # the same configuration produce identical bytes
+    lines = []
+    for f in fields(config):
+        if f.name != "out_dir":
+            value = getattr(config, f.name)
+            cells = value if isinstance(value, tuple) else (value,)
+            lines.append(f"{f.name}=" + ",".join(_cell(v) for v in cells))
+    lines.append("trial_seed_scheme=SeedSequence([seed, n, 1, trial])")
+    from importlib.metadata import PackageNotFoundError, version
 
-
-def _config_pairs(config: ExperimentConfig) -> list[tuple[str, str]]:
-    pairs = [
-        ("experiment", config.experiment),
-        ("grid_period", str(config.grid_period)),
-        ("grid_samples", str(config.grid_samples)),
-        ("n_list", ",".join(str(n) for n in config.n_list)),
-        ("q", f"{config.q:.17g}"),
-        ("r", f"{config.r:.17g}"),
-        ("trials", str(config.trials)),
-        ("seed", str(config.seed)),
-        ("family", config.family),
-        ("format", config.fmt),
-        ("trial_seed_scheme", "SeedSequence([seed, n, 1, trial])"),
-    ]
-    return pairs
-
-
-def write_manifest(out_dir: str, pairs: Sequence[tuple[str, str]]) -> None:
-    """Config echo plus library versions; no timestamps, so reruns of the
-    same configuration produce identical bytes."""
     try:
-        from importlib.metadata import version
-
         pkg_version = version("multifreq")
-    except Exception:
+    except PackageNotFoundError:
         pkg_version = "unknown"
-    lines = [f"{k}={v}" for k, v in pairs]
     lines.append(f"package_version={pkg_version}")
     lines.append(f"numpy_version={np.__version__}")
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+    with open(os.path.join(config.out_dir, "manifest.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def scaling_svg(report: ScalingReport, path: str) -> None:
-    """Log-log scatter of the estimates with both fitted curves."""
-    pts = [(r.n, r.estimate) for r in report.rows if r.estimate > 0]
-    width, height = 640, 480
-    left, right, top, bottom = 70, 20, 20, 50
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if len(pts) < 2:
-        parts.append(
-            f'<text x="{width // 2}" y="{height // 2}" text-anchor="middle" '
-            f'font-family="sans-serif">not enough positive data</text></svg>'
-        )
-        with open(path, "w") as fh:
-            fh.write("\n".join(parts) + "\n")
-        return
-    xs = np.log([p[0] for p in pts])
-    ys = np.log([p[1] for p in pts])
-    ns_dense = np.geomspace(pts[0][0], pts[-1][0], 64)
-    curves = []
-    if not report.fit.degenerate:
-        a1, b1, _ = _ols(np.log([p[0] for p in pts]), ys)
-        curves.append(("#d62728", "power", np.log(ns_dense), a1 * np.log(ns_dense) + b1))
-        a2, b2, _ = _ols(np.log(np.log([p[0] for p in pts])), ys)
-        curves.append(
-            ("#2ca02c", "log-power", np.log(ns_dense), a2 * np.log(np.log(ns_dense)) + b2)
-        )
-    ally = np.concatenate([ys] + [c[3] for c in curves]) if curves else ys
-    xmin, xmax = float(xs.min()), float(xs.max())
-    ymin, ymax = float(ally.min()), float(ally.max())
-    if ymax == ymin:
-        ymax = ymin + 1.0
-    xpad = 0.05 * (xmax - xmin)
-    ypad = 0.05 * (ymax - ymin)
-    xmin -= xpad
-    xmax += xpad
-    ymin -= ypad
-    ymax += ypad
-
-    def sx(v):
-        return left + (v - xmin) / (xmax - xmin) * (width - left - right)
-
-    def sy(v):
-        return height - bottom - (v - ymin) / (ymax - ymin) * (height - top - bottom)
-
-    parts.append(
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="black"/>'
-    )
-    for n, est in pts:
-        px = sx(np.log(n))
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{height - bottom}" x2="{px:.2f}" '
-            f'y2="{height - bottom + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{height - bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{n}</text>'
-        )
-    for frac in (0.0, 0.5, 1.0):
-        vy = ymin + frac * (ymax - ymin)
-        py = sy(vy)
-        parts.append(
-            f'<line x1="{left - 5}" y1="{py:.2f}" x2="{left}" y2="{py:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{np.exp(vy):.3g}</text>'
-        )
-    for color, label, cx, cy in curves:
-        coords = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(cx, cy))
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}"/>')
-    for n, est in pts:
-        parts.append(
-            f'<circle cx="{sx(np.log(n)):.2f}" cy="{sy(np.log(est)):.2f}" r="4" '
-            f'fill="#1f77b4"/>'
-        )
-    f = report.fit
-    legend = (
-        f"power alpha={f.alpha:.3f} R2={f.r2_power:.3f}; "
-        f"log-power beta={f.beta:.3f} R2={f.r2_log:.3f}; preferred {f.preferred}"
-    )
-    parts.append(
-        f'<text x="{left + 10}" y="{top + 15}" font-family="sans-serif" '
-        f'font-size="12">{report.experiment}: {legend}</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import write_csv
+
 __all__ = [
     "variation_norm",
     "variation_dp",
@@ -349,11 +351,8 @@ def symbol_vr_norm(values, r: float) -> float:
 def profile_to_csv(profile: EntropyProfile, path) -> None:
     """Rows (lambda, count) at each breakpoint; a leading row gives the
     count just above level zero and a trailing row the truncation radius."""
-    with open(path, "w") as fh:
-        fh.write("lambda,count\n")
-        fh.write(f"0,{int(1 + np.sum(profile.radii > 0))}\n")
-        for bp in profile.breakpoints:
-            if bp < profile.rho:
-                fh.write(f"{bp:.17g},{profile.count(float(bp))}\n")
-        if profile.rho > 0:
-            fh.write(f"{profile.rho:.17g},1\n")
+    rows = [(0, int(1 + np.sum(profile.radii > 0)))]
+    rows += [(bp, profile.count(float(bp))) for bp in profile.breakpoints if bp < profile.rho]
+    if profile.rho > 0:
+        rows.append((profile.rho, 1))
+    write_csv(path, "lambda,count", rows)

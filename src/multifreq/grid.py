@@ -15,7 +15,8 @@ Storage layout: arrays over the lattice are in ascending index order, so
 index ``n`` sits at position ``n + samples/2``, and a dyadic tile of
 width ``2^-k`` spans ``period / 2^k`` lattice cells.  ``TorusGrid.slot``
 and ``TorusGrid.tile_cells`` are the only owners of these two facts;
-everything else asks them.
+everything else asks them.  Likewise every CSV the package writes goes
+through ``write_csv``, which alone decides how a cell is formatted.
 """
 
 from __future__ import annotations
@@ -30,17 +31,15 @@ __all__ = [
     "TorusGrid",
     "Signal",
     "Spectrum",
-    "SpectralSymbol",
     "FrequencySet",
     "DyadicFreqInterval",
     "forward_transform",
     "inverse_transform",
     "apply_multiplier",
+    "write_csv",
     "signal_to_csv",
     "signal_from_csv",
     "spectrum_to_csv",
-    "grid_to_config",
-    "grid_from_config",
 ]
 
 
@@ -199,11 +198,6 @@ class Spectrum:
     __rmul__ = __mul__
 
 
-# A multiplier symbol is stored exactly like a spectrum: one complex value
-# per frequency lattice point.
-SpectralSymbol = Spectrum
-
-
 def forward_transform(sig: Signal) -> Spectrum:
     """Spectrum values F_n = h * sum_i f(x_i) e(-n i / samples)."""
     vals = sig.grid.h * np.fft.fftshift(np.fft.fft(sig.values))
@@ -327,11 +321,28 @@ class DyadicFreqInterval:
 # ---------------------------------------------------------------------------
 # serialization
 
-def signal_to_csv(sig: Signal, path) -> None:
+def _cell(v) -> str:
+    """One output cell: flags as 0/1, floats to 17 significant digits (so
+    every double reads back exactly), anything else as ``str``."""
+    # bool before int: str(True) is "True"
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header``, then one comma-separated line per row of cells."""
     with open(path, "w") as fh:
-        fh.write("index,re,im\n")
-        for i, v in enumerate(sig.values):
-            fh.write(f"{i},{v.real:.17g},{v.imag:.17g}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def signal_to_csv(sig: Signal, path) -> None:
+    vals = sig.values
+    write_csv(path, "index,re,im", zip(range(vals.size), vals.real, vals.imag))
 
 
 def signal_from_csv(grid: TorusGrid, path) -> Signal:
@@ -351,23 +362,5 @@ def signal_from_csv(grid: TorusGrid, path) -> Signal:
 
 
 def spectrum_to_csv(spec: Spectrum, path) -> None:
-    idx = spec.grid.freq_indices()
-    with open(path, "w") as fh:
-        fh.write("freq_index,re,im\n")
-        for n, v in zip(idx, spec.values):
-            fh.write(f"{n},{v.real:.17g},{v.imag:.17g}\n")
-
-
-def grid_to_config(grid: TorusGrid) -> str:
-    return f"period = {grid.period}\nsamples = {grid.samples}\n"
-
-
-def grid_from_config(text: str) -> TorusGrid:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = int(value.strip())
-    return TorusGrid(period=fields["period"], samples=fields["samples"])
+    vals = spec.values
+    write_csv(path, "freq_index,re,im", zip(spec.grid.freq_indices(), vals.real, vals.imag))

@@ -10,12 +10,12 @@ exponential combination on the dilated interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .grid import FrequencySet, Signal, TorusGrid
+from .grid import FrequencySet, Signal, TorusGrid, write_csv
 
 __all__ = [
     "CZInterval",
@@ -253,10 +253,5 @@ def verify_mfcz(dec: CZDecomposition) -> CZReport:
 
 def cz_reports_to_csv(reports, path) -> None:
     """One row per decomposition: lambda, N, C1..C6, worst Gram diagnostic."""
-    with open(path, "w") as fh:
-        fh.write("lambda,n_freq,c1,c2,c3,c4,c5,c6,min_gram_sv\n")
-        for r in reports:
-            fh.write(
-                f"{r.lam:.17g},{r.n_freq},{r.c1:.17g},{r.c2:.17g},{r.c3:.17g},"
-                f"{r.c4:.17g},{r.c5:.17g},{r.c6:.17g},{r.min_gram_sv:.17g}\n"
-            )
+    header = "lambda,n_freq,c1,c2,c3,c4,c5,c6,min_gram_sv"
+    write_csv(path, header, (astuple(r) for r in reports))

@@ -16,13 +16,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bumps import build_dk_symbol, dk_tiles
-from .errors import GridMismatchError, ResolutionError, SymbolSupportError
+from .errors import ResolutionError, SymbolSupportError
 from .fluctuation import symbol_vr_norm, variation_dp
 from .grid import (
     FrequencySet,
     Signal,
     Spectrum,
     TorusGrid,
+    _check_same_grid,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -161,8 +162,7 @@ class RoughMultiplierSpec:
 
 def dk_apply(f: Signal, sigma: FrequencySet, k: int, variant: str = "tiled") -> Signal:
     """Apply the scale-k window sum over the frequency set to f."""
-    if f.grid != sigma.grid:
-        raise GridMismatchError("signal and frequency set live on different grids")
+    _check_same_grid(f, sigma)
     return apply_multiplier(f, build_dk_symbol(sigma, k, variant))
 
 
@@ -191,8 +191,7 @@ def vq_dk(
         raise ValueError("variation exponent q must exceed 2")
     if mode not in ("homogeneous", "nonhomogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
-    if f.grid != sigma.grid:
-        raise GridMismatchError("signal and frequency set live on different grids")
+    _check_same_grid(f, sigma)
     if scale_range is None:
         scale_range = default_scale_range(f.grid)
     f.grid.tile_cells(scale_range.k_max)  # raises ResolutionError below the lattice step
@@ -200,8 +199,9 @@ def vq_dk(
         symbols = (build_dk_symbol(sigma, k, variant) for k in scale_range.scales())
     elif len(symbols) != len(scale_range):
         raise ValueError(f"expected {len(scale_range)} symbols, one per scale")
-    elif any(sym.grid != f.grid for sym in symbols):
-        raise GridMismatchError("signal and scale symbols live on different grids")
+    else:
+        for sym in symbols:
+            _check_same_grid(f, sym)
     fhat = forward_transform(f)
     stack = np.empty((len(scale_range), f.grid.samples), dtype=np.complex128)
     for row, sym in enumerate(symbols):
@@ -217,8 +217,7 @@ def sharp_maximal(
 ) -> Signal:
     """Pointwise maximum over scales of the sharp projection onto the
     closed 2^-j neighborhood of the frequency set."""
-    if f.grid != sigma.grid:
-        raise GridMismatchError("signal and frequency set live on different grids")
+    _check_same_grid(f, sigma)
     grid = f.grid
     if scale_range is None:
         scale_range = default_scale_range(grid)
@@ -240,8 +239,7 @@ def rough_T(f: Signal, spec: RoughMultiplierSpec) -> Signal:
     """Sharp indicator multiplier with one bounded coefficient per interval."""
     if spec.coefficients is None:
         raise ValueError("rough_T needs a coefficient spec")
-    if f.grid != spec.grid:
-        raise GridMismatchError("signal and spec live on different grids")
+    _check_same_grid(f, spec)
     return apply_multiplier(f, spec.assembled_symbol())
 
 
@@ -256,8 +254,7 @@ def rvar_M(
     """
     if spec.symbols is None:
         raise ValueError("rvar_M needs a symbol spec")
-    if f.grid != spec.grid:
-        raise GridMismatchError("signal and spec live on different grids")
+    _check_same_grid(f, spec)
     if path == "direct":
         return apply_multiplier(f, spec.assembled_symbol())
     if path != "layered":
@@ -288,8 +285,7 @@ def delta_k(
     must be supported inside the threefold concentric dilation of their
     tile; the smooth default already needs that much room.
     """
-    if f.grid != sigma.grid:
-        raise GridMismatchError("signal and frequency set live on different grids")
+    _check_same_grid(f, sigma)
     grid = f.grid
     if symbols is None:
         return apply_multiplier(f, build_dk_symbol(sigma, k, "tiled"))

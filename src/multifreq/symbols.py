@@ -20,16 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bumps import bump_profile, plateau_profile, smoothstep
-from .errors import ConstructionError, GridMismatchError, ResolutionError
+from .errors import ConstructionError, ResolutionError
 from .fluctuation import variation_norm
 from .grid import (
     DyadicFreqInterval,
     Signal,
     Spectrum,
     TorusGrid,
+    _check_same_grid,
     apply_multiplier,
     forward_transform,
     inverse_transform,
+    write_csv,
 )
 
 __all__ = [
@@ -186,15 +188,12 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
 
 def layered_to_csv(layered: LayeredSymbol, path) -> None:
     """Write one row per piece: level, lattice bounds, coefficient."""
-    lines = ["j,interval_lo,interval_hi,re_d,im_d"]
-    for j, layer in enumerate(layered.layers):
-        for piece in layer:
-            lines.append(
-                "%d,%d,%d,%.17g,%.17g"
-                % (j, piece.lo, piece.hi, piece.coeff.real, piece.coeff.imag)
-            )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        (j, p.lo, p.hi, p.coeff.real, p.coeff.imag)
+        for j, layer in enumerate(layered.layers)
+        for p in layer
+    )
+    write_csv(path, "j,interval_lo,interval_hi,re_d,im_d", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +316,11 @@ def whitney_decompose(
 
 def whitney_to_csv(system: WhitneySystem, path) -> None:
     """One row per piece plus the two measured partition constants."""
-    lines = ["piece_lo,piece_hi,cells,flagged,overlap_count,per_scale_max"]
-    for p in system.pieces:
-        lines.append(
-            "%d,%d,%d,%d,%d,%d"
-            % (p.lo, p.hi, p.cells, int(p.flagged), system.overlap_count, system.per_scale_max)
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        (p.lo, p.hi, p.cells, p.flagged, system.overlap_count, system.per_scale_max)
+        for p in system.pieces
+    )
+    write_csv(path, "piece_lo,piece_hi,cells,flagged,overlap_count,per_scale_max", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +560,8 @@ def windowed_expand(
     wide plateau synthesis window; the quarter spacing pushes all alias
     images outside its support, so the identity is exact on the lattice.
     """
+    _check_same_grid(f, omega)
     grid = f.grid
-    if grid != omega.grid:
-        raise GridMismatchError("signal and interval live on different grids")
     scale = 2.0 ** omega.k
     xi_rep = omega.xi_rep_index
     if xi_rep is None:

@@ -133,6 +133,29 @@ def test_unknown_family_is_rejected():
         ExperimentConfig("weak11-scaling", family="bogus")
 
 
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"experiment": "bogus"}, "experiment id"),
+        ({"n_list": (2, 4, 8)}, "at least 4 points"),
+        ({"grid_period": 3}, "power of two"),
+        ({"q": 2.0}, "q must exceed 2"),
+        ({"experiment": "weak11-scaling", "q": 2.0}, "q must exceed 2"),
+    ],
+    ids=["unknown-experiment", "three-points", "period-3", "vq-l2-q-2", "weak11-q-2"],
+)
+def test_config_rejects_what_run_suite_cannot_run(change, match):
+    # each of these used to construct and fail only inside run_suite
+    kw = {"experiment": "vq-l2-scaling", "grid_period": 16, "grid_samples": 2**10, "n_list": N_LIST}
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**{**kw, **change})
+
+
+@pytest.mark.parametrize("experiment", ["rough-mult-scaling", "rvar-mult"])
+def test_q_is_free_where_no_variation_is_taken(experiment):
+    assert ExperimentConfig(experiment, n_list=N_LIST, q=2.0).q == 2.0
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_run_suite_bytes_do_not_depend_on_workers(tmp_path, experiment):
     written = []

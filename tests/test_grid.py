@@ -21,8 +21,6 @@ from multifreq import (
     corollary_constants,
     dk_tiles,
     forward_transform,
-    grid_from_config,
-    grid_to_config,
     inverse_transform,
     sharp_maximal,
     signal_from_csv,
@@ -334,9 +332,3 @@ def test_spectrum_csv_format(small_grid, rng, tmp_path):
     assert len(lines) == small_grid.samples + 1
     assert lines[1].startswith("-32,")
 
-
-def test_grid_config_roundtrip(default_grid):
-    text = grid_to_config(default_grid)
-    assert "period = 128" in text
-    assert grid_from_config(text) == default_grid
-    assert grid_from_config("# comment\nperiod = 8\n\nsamples = 64\n") == TorusGrid(8, 64)

@@ -207,7 +207,6 @@ def test_run_suite_bytes(tmp_path, experiment):
         "trials=4\n"
         "seed=0\n"
         "family=all\n"
-        "format=csv\n"
         "trial_seed_scheme=SeedSequence([seed, n, 1, trial])\n"
     )
 
@@ -235,6 +234,5 @@ def test_run_suite_bytes_of_a_degenerate_fit(tmp_path, monkeypatch):
         "trials=4\n"
         "seed=0\n"
         "family=atom\n"
-        "format=csv\n"
         "trial_seed_scheme=SeedSequence([seed, n, 1, trial])\n"
     )
