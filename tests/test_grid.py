@@ -331,4 +331,3 @@ def test_spectrum_csv_format(small_grid, rng, tmp_path):
     assert lines[0] == "freq_index,re,im"
     assert len(lines) == small_grid.samples + 1
     assert lines[1].startswith("-32,")
-
