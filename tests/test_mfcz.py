@@ -7,6 +7,7 @@ through full-length inner products rather than the compact atom storage.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from multifreq import (
     DegenerateInputError,
@@ -254,6 +255,34 @@ def test_decomposition_reconstructs_exactly(grid, rng):
         for atom in dec.atoms:
             total[atom.triple_cells] += atom.b_values
         assert np.max(np.abs(total - f.values)) <= 1e-12 * f.norm_inf()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(1, 10),
+    st.floats(0.15, 0.9),
+)
+def test_decomposition_properties(seed, n_freq, n_spikes, frac):
+    # arbitrary, possibly clustered frequencies on a small grid, so some
+    # atoms have more frequencies than dilation cells
+    grid = TorusGrid(period=16, samples=256)
+    rng = np.random.default_rng(seed)
+    f = spiky_signal(grid, rng, n_spikes)
+    band = np.arange(-grid.samples // 2 + 1, grid.samples // 2)
+    sigma = FrequencySet(grid, rng.choice(band, size=n_freq, replace=False))
+    try:
+        dec = mfcz_decompose(f, frac * f.norm_inf(), sigma)
+    except DegenerateInputError:
+        assume(False)
+    total = np.array(dec.good.values, copy=True)
+    for atom in dec.atoms:
+        total[atom.triple_cells] += atom.b_values
+        # moment matching projects f_J, so it never adds L2 mass
+        g2 = np.linalg.norm(atom.g_values)
+        assert g2 <= np.linalg.norm(atom.f_values) * (1 + 1e-12)
+    assert np.max(np.abs(total - f.values)) <= 1e-12 * f.norm_inf()
 
 
 def test_atom_support_and_disjointness(grid, rng):
