@@ -59,6 +59,10 @@ _STRONG_FAMILIES = ("gaussian", "signs", "atom")
 # sign inputs for any trial count
 TRIAL_BLOCK = 8
 
+# cells in the narrowest lane of a rough spec; log2 of the widest weak atom
+_MIN_LANE = 8
+_WEAK_ATOM_LOG2 = 8
+
 
 def _setup_rng(seed: int, n: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n, 0]))
@@ -89,8 +93,8 @@ def sample_rough_spec(
     """n disjoint intervals in disjoint lanes, with unimodular
     coefficients or smooth dome symbols."""
     half = grid.samples // 2
-    lane = (2 * half) // n
-    if lane < 8:
+    lane = grid.samples // n
+    if lane < _MIN_LANE:
         raise ValueError(f"cannot place {n} disjoint intervals on this grid")
     ivs = []
     for i in range(n):
@@ -122,7 +126,7 @@ class _Plan:
     reps: np.ndarray
 
 
-def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, r: float, seed: int) -> _Plan:
+def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, seed: int) -> _Plan:
     # trials call the operators through this module's bindings, so
     # wrappers installed on them see every call
     rng = _setup_rng(seed, n)
@@ -135,7 +139,7 @@ def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, r: float, seed: 
             (max(int(c) - halfw, -half), min(int(c) + halfw + 1, half)) for c in sigma.indices
         )
         return _Plan(lambda f: vq_dk(f, sigma, q, symbols=stack), zones, sigma.indices)
-    spec = sample_rough_spec(grid, n, rng, with_symbols=(op_id == "rvar_M"), r=r)
+    spec = sample_rough_spec(grid, n, rng, with_symbols=(op_id == "rvar_M"))
     if op_id == "rough_T":
         op = lambda f: rough_T(f, spec)
     else:
@@ -192,7 +196,7 @@ def _weak_input(grid: TorusGrid, rng) -> Signal:
     if int(rng.integers(2)) == 0:
         vals[int(rng.integers(m))] = phase
     else:
-        w = 2 ** int(rng.integers(1, 9))
+        w = 2 ** int(rng.integers(1, _WEAK_ATOM_LOG2 + 1))
         start = int(rng.integers(0, m - w + 1))
         vals[start : start + w // 2] = phase
         vals[start + w // 2 : start + w] = -phase
@@ -333,7 +337,6 @@ class ExperimentConfig:
     grid_samples: int = 2**15
     n_list: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128)
     q: float = 3.0
-    r: float = 2.0
     trials: int = 64
     seed: int = 0
     family: str = "all"
@@ -359,6 +362,17 @@ class ExperimentConfig:
             raise ValueError("variation exponent q must exceed 2")
         if self.family != "all" and self.family not in _STRONG_FAMILIES:
             raise ValueError(f"unknown input family {self.family!r}")
+        # what the input generators and samplers of run_suite need
+        kind, op_id = _EXPERIMENTS[self.experiment]
+        if op_id == "vq_dk":
+            default_scale_range(self.grid())  # raises ValueError at grid_period 1
+        elif self.grid_samples // ns[-1] < _MIN_LANE:
+            raise ValueError(f"cannot place {ns[-1]} disjoint intervals on this grid")
+        if kind == "weak" and self.grid_samples < 2**_WEAK_ATOM_LOG2:
+            raise ValueError(f"weak inputs need grid_samples >= {2**_WEAK_ATOM_LOG2}")
+        if kind == "strong" and self.family in ("all", "signs") and self.grid_period <= 2:
+            # the sign envelope's plateau period/4 must stay below period/2 - 1/2
+            raise ValueError("sign inputs need grid_period > 2")
 
     def grid(self) -> TorusGrid:
         return TorusGrid(period=self.grid_period, samples=self.grid_samples)
@@ -398,7 +412,7 @@ def run_suite(config: ExperimentConfig, workers: int = 1) -> ScalingReport:
         # no name holds the plan, so one N's symbols are freed before the
         # next N's are built
         est, desc = _run_trials(
-            _build_setup(op_id, grid, n, float(config.q), float(config.r), config.seed),
+            _build_setup(op_id, grid, n, float(config.q), config.seed),
             grid,
             n,
             config.trials,

@@ -4,8 +4,8 @@
 stopping intervals and are orthogonal, up to a reported residual, to every
 exponential ``e(xi_j x)`` from the frequency set.  The stopping rule uses
 dyadic averages against the height ``lam / sqrt(N)``; the good part on
-each atom matches all N moments of the local signal with the least-norm
-exponential combination on the dilated interval.
+each atom projects the local signal onto the exponentials on the dilated
+interval, which gives the least-norm function matching all N moments.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "cz_reports_to_csv",
 ]
 
-GRAM_RCOND = 1e-10
 TOL_ORTH = 1e-8
 
 
@@ -54,11 +53,10 @@ class CZInterval:
     cells: np.ndarray
     triple_cells: np.ndarray
     f_values: np.ndarray  # f restricted to J, on `cells`
-    moments: np.ndarray
     g_values: np.ndarray  # on `triple_cells`
     b_values: np.ndarray  # on `triple_cells`
     gram_min_sv: float  # smallest singular value of the Gram, relative to largest
-    max_residual: float  # worst moment residual of b, relative to (1 + ||f_J||_1)
+    moment_residual: float  # max_j |h (E b)_j|, the worst moment of b
 
     @property
     def measure(self) -> float:
@@ -67,11 +65,6 @@ class CZInterval:
     def f_signal(self) -> Signal:
         out = np.zeros(self.grid.samples, dtype=np.complex128)
         out[self.cells] = self.f_values
-        return Signal(self.grid, out)
-
-    def g_signal(self) -> Signal:
-        out = np.zeros(self.grid.samples, dtype=np.complex128)
-        out[self.triple_cells] = self.g_values
         return Signal(self.grid, out)
 
     def b_signal(self) -> Signal:
@@ -149,27 +142,30 @@ def _triple_cells(grid: TorusGrid, start: int, size: int) -> np.ndarray:
     return np.arange(start - size, start + 2 * size) % grid.samples
 
 
-def moment_match(f_vals: np.ndarray, sigma: FrequencySet, cells: np.ndarray,
-                 triple_cells: np.ndarray):
-    """Least-norm exponential combination on the dilated interval whose
-    moments against e(xi_j x) match those of the local signal.
+def moment_match(f_vals: np.ndarray, sigma: FrequencySet, triple_cells: np.ndarray):
+    """Least-norm g on the dilated interval whose moments against e(xi_j x)
+    match those of f_J, which sits on the middle third of ``triple_cells``.
 
-    Returns (g on triple_cells, moments, relative smallest Gram singular
-    value).  g is the least-norm solution of h E g = moments, solved on E
-    itself with cutoff sqrt(GRAM_RCOND), i.e. GRAM_RCOND on the Gram:
-    solving through the Gram squares the conditioning, which on
-    rank-deficient Grams pushes moment residuals above TOL_ORTH.
+    Returns (g, moments, relative smallest Gram singular value, residual
+    max_j |h (E b)_j| of b = f_J - g).  f_J itself solves h E g = moments,
+    so g is its orthogonal projection onto the span of the e(xi_j x) on
+    the dilation: one SVD of E, cut at numpy's rank tolerance (as ``lstsq``
+    with ``rcond=None``).  A projection never increases the L2 norm.  The
+    Gram h E E^* is singular when N exceeds the dilation's cells.
     """
     grid = sigma.grid
     h = grid.h
-    e_j = _cell_exponentials(grid, sigma, cells)
-    moments = h * (e_j @ f_vals)
+    size = f_vals.shape[0]
     e_3j = _cell_exponentials(grid, sigma, triple_cells)
-    gram = h * (e_3j @ e_3j.conj().T)
-    sv = np.linalg.svd(gram, compute_uv=False)
-    rel_min_sv = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    g_vals = np.linalg.lstsq(h * e_3j, moments, rcond=np.sqrt(GRAM_RCOND))[0]
-    return g_vals, moments, rel_min_sv
+    _, sv, vh = np.linalg.svd(e_3j, full_matrices=False)
+    v_k = vh[sv > sv[0] * max(e_3j.shape) * np.finfo(np.float64).eps]
+    f_pad = np.zeros(triple_cells.shape[0], dtype=np.complex128)
+    f_pad[size:2 * size] = f_vals
+    g_vals = v_k.conj().T @ (v_k @ f_pad)
+    moments = h * (e_3j[:, size:2 * size] @ f_vals)
+    rel_min_sv = float((sv[-1] / sv[0]) ** 2) if sigma.n <= sv.shape[0] else 0.0
+    resid = float(np.max(np.abs(h * (e_3j @ (f_pad - g_vals)))))
+    return g_vals, moments, rel_min_sv, resid
 
 
 def _build_atom(f: Signal, sigma: FrequencySet, start: int, size: int) -> CZInterval:
@@ -177,13 +173,10 @@ def _build_atom(f: Signal, sigma: FrequencySet, start: int, size: int) -> CZInte
     cells = np.arange(start, start + size)
     triple = _triple_cells(grid, start, size)
     f_vals = f.values[cells]
-    g_vals, moments, rel_min_sv = moment_match(f_vals, sigma, cells, triple)
-    b_vals = -g_vals.copy()
+    g_vals, _, rel_min_sv, resid = moment_match(f_vals, sigma, triple)
     # b = f_J - g on the dilation; J sits at offsets [size, 2*size) within it
+    b_vals = -g_vals
     b_vals[size:2 * size] += f_vals
-    e_3j = _cell_exponentials(grid, sigma, triple)
-    resid = np.abs(grid.h * (e_3j @ b_vals))
-    l1 = grid.h * float(np.sum(np.abs(f_vals)))
     return CZInterval(
         grid=grid,
         start_cell=start,
@@ -191,11 +184,10 @@ def _build_atom(f: Signal, sigma: FrequencySet, start: int, size: int) -> CZInte
         cells=cells,
         triple_cells=triple,
         f_values=f_vals,
-        moments=moments,
         g_values=g_vals,
         b_values=b_vals,
         gram_min_sv=rel_min_sv,
-        max_residual=float(np.max(resid)) / (1.0 + l1),
+        moment_residual=resid,
     )
 
 
@@ -238,9 +230,7 @@ def verify_mfcz(dec: CZDecomposition) -> CZReport:
         c2 = max(c2, g2 / (np.sqrt(meas) * lam))
         b1 = h * float(np.sum(np.abs(atom.b_values)))
         c5 = max(c5, b1 / (lam * meas))
-        e_3j = _cell_exponentials(f.grid, dec.sigma, atom.triple_cells)
-        resid = float(np.max(np.abs(h * (e_3j @ atom.b_values))))
-        c6 = max(c6, resid / l1_local)
+        c6 = max(c6, atom.moment_residual / l1_local)
         min_sv = min(min_sv, atom.gram_min_sv)
     c3 = dec.good.norm2() ** 2 / (rt_n * lam * norm1)
     c4 = lam * total_measure / (rt_n * norm1)

@@ -10,14 +10,14 @@ is part of the object being measured, not an artifact to smooth away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .bumps import build_dk_symbol, dk_tiles
 from .errors import ResolutionError, SymbolSupportError
-from .fluctuation import symbol_vr_norm, variation_dp
+from .fluctuation import variation_dp
 from .grid import (
     FrequencySet,
     Signal,
@@ -75,9 +75,8 @@ class RoughMultiplierSpec:
 
     ``intervals`` are half-open lattice index pairs [lo, hi).  Exactly one
     of ``coefficients`` (complex, modulus at most 1) and ``symbols``
-    (full-lattice arrays, one per interval) must be given.  For symbol
-    families the construction records each member's nonhomogeneous
-    r-variation norm.
+    (full-lattice arrays, one per interval) must be given.  ``r`` is the
+    variation exponent the layered ``rvar_M`` path decomposes with.
     """
 
     grid: TorusGrid
@@ -85,7 +84,6 @@ class RoughMultiplierSpec:
     coefficients: np.ndarray | None = None
     symbols: tuple[np.ndarray, ...] | None = None
     r: float = 2.0
-    vr_norms: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
         if len(self.intervals) == 0:
@@ -133,8 +131,6 @@ class RoughMultiplierSpec:
                 arr.setflags(write=False)
                 syms.append(arr)
             object.__setattr__(self, "symbols", tuple(syms))
-            norms = tuple(symbol_vr_norm(s, self.r) for s in syms)
-            object.__setattr__(self, "vr_norms", norms)
 
         # the single multiplier, summed once for every application to share
         slot = self.grid.slot
@@ -265,9 +261,8 @@ def rvar_M(
         layered = vr_layer_decompose(Spectrum(grid, sym), spec.r, tol)
         # linearity: accumulating every layer of every member into one
         # multiplier equals applying the layers one at a time
-        for layer in layered.layers:
-            for piece in layer:
-                acc[grid.slot(piece.lo) : grid.slot(piece.hi)] += piece.coeff
+        for j in range(len(layered.layers)):
+            acc += layered.layer_values(j)
     return apply_multiplier(f, Spectrum(grid, acc))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import multifreq.experiments as mx
 from multifreq.bumps import plateau_profile
@@ -56,9 +56,7 @@ def per_trial_rows(config):
             ]
             reps = sigma.indices
         else:
-            spec = mx.sample_rough_spec(
-                grid, n, setup, with_symbols=(op_id == "rvar_M"), r=config.r
-            )
+            spec = mx.sample_rough_spec(grid, n, setup, with_symbols=(op_id == "rvar_M"))
             op = (lambda f: rough_T(f, spec)) if op_id == "rough_T" else (lambda f: rvar_M(f, spec))
             zones = spec.intervals
             reps = [(lo + hi) // 2 for lo, hi in spec.intervals]
@@ -141,14 +139,57 @@ def test_unknown_family_is_rejected():
         ({"grid_period": 3}, "power of two"),
         ({"q": 2.0}, "q must exceed 2"),
         ({"experiment": "weak11-scaling", "q": 2.0}, "q must exceed 2"),
+        ({"grid_period": 2, "grid_samples": 64}, "sign inputs"),
+        ({"experiment": "rvar-mult", "grid_period": 2, "grid_samples": 128}, "sign inputs"),
+        (
+            {"experiment": "rvar-mult", "grid_period": 2, "grid_samples": 64, "family": "atom"},
+            "16 disjoint intervals",
+        ),
+        ({"experiment": "rough-mult-scaling", "grid_period": 4, "grid_samples": 128}, "256"),
+        ({"experiment": "weak11-scaling", "grid_period": 1, "grid_samples": 512}, "scale range"),
     ],
-    ids=["unknown-experiment", "three-points", "period-3", "vq-l2-q-2", "weak11-q-2"],
+    ids=[
+        "unknown-experiment", "three-points", "period-3", "vq-l2-q-2", "weak11-q-2",
+        "vq-l2-sign-envelope", "rvar-sign-envelope", "rvar-narrow-lanes",
+        "rough-wide-weak-atoms", "weak11-no-scales",
+    ],
 )
 def test_config_rejects_what_run_suite_cannot_run(change, match):
     # each of these used to construct and fail only inside run_suite
     kw = {"experiment": "vq-l2-scaling", "grid_period": 16, "grid_samples": 2**10, "n_list": N_LIST}
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(**{**kw, **change})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(EXPERIMENTS),
+    st.sampled_from(["all", "gaussian", "signs", "atom"]),
+    st.integers(0, 3),
+    st.integers(5, 10),
+    st.integers(1, 4),
+    st.integers(0, 2),
+)
+def test_a_config_that_constructs_runs(
+    tmp_path_factory, experiment, family, log_period, log_samples, trials, shrink
+):
+    # small grids near every generator's limit: each config is either
+    # rejected up front or runs to the end
+    period, samples = 2**log_period, 2**log_samples
+    n_max = max(samples // (2 * period) // 2**shrink, 16)
+    try:
+        config = ExperimentConfig(
+            experiment,
+            grid_period=period,
+            grid_samples=samples,
+            n_list=(2, 4, 8, n_max),
+            trials=trials,
+            family=family,
+            out_dir=str(tmp_path_factory.mktemp("run")),
+        )
+    except ValueError:
+        assume(False)
+    run_suite(config)
 
 
 @pytest.mark.parametrize("experiment", ["rough-mult-scaling", "rvar-mult"])

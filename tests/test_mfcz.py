@@ -5,6 +5,8 @@ checks the maximality condition literally; moment residuals are recomputed
 through full-length inner products rather than the compact atom storage.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +22,7 @@ from multifreq import (
     select_intervals,
     verify_mfcz,
 )
+from multifreq.mfcz import TOL_ORTH
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +161,8 @@ def test_total_measure_monotone_in_lam(grid, rng):
 def test_constant_match_single_frequency():
     grid = TorusGrid(16, 128)
     sigma = FrequencySet.from_frequencies(grid, [0.0])
-    cells = np.arange(0, 8)
     triple = np.arange(-8, 16) % 128
-    g, moments, rel_sv = moment_match(np.ones(8, dtype=complex), sigma, cells, triple)
+    g, moments, rel_sv, _ = moment_match(np.ones(8, dtype=complex), sigma, triple)
     assert np.allclose(g, 1.0 / 3.0, atol=1e-13)
     assert moments[0] == pytest.approx(8 * grid.h)
     assert rel_sv == pytest.approx(1.0)
@@ -168,19 +170,17 @@ def test_constant_match_single_frequency():
 
 def test_zero_moments_give_zero(grid):
     sigma = FrequencySet.from_frequencies(grid, [0.0, 1.0])
-    cells = np.arange(16, 24)
     triple = np.arange(8, 32)
-    g, moments, _ = moment_match(np.zeros(8, dtype=complex), sigma, cells, triple)
+    g, moments, _, _ = moment_match(np.zeros(8, dtype=complex), sigma, triple)
     assert np.all(g == 0)
     assert np.all(moments == 0)
 
 
 def test_residuals_tiny_for_separated_frequencies(grid, rng):
     sigma = FrequencySet.from_frequencies(grid, list(np.arange(8.0) - 4.0))
-    cells = np.arange(32, 64)
     triple = np.arange(0, 96)
     f_vals = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    g, moments, _ = moment_match(f_vals, sigma, cells, triple)
+    g, moments, _, _ = moment_match(f_vals, sigma, triple)
     # recheck the moments of f_J - g directly
     h = grid.h
     x3 = triple * h
@@ -196,11 +196,10 @@ def test_match_is_a_projection(grid, rng):
     # least-norm moment matching is the orthogonal projection of the local
     # signal onto the exponential span, so it never increases the L2 norm
     sigma = FrequencySet.from_frequencies(grid, [-2.0, 0.0, 3.0])
-    cells = np.arange(40, 48)
     triple = np.arange(32, 56)
     for _ in range(10):
         f_vals = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        g, _, _ = moment_match(f_vals, sigma, cells, triple)
+        g, _, _, _ = moment_match(f_vals, sigma, triple)
         assert np.sum(np.abs(g) ** 2) <= np.sum(np.abs(f_vals) ** 2) + 1e-12
 
 
@@ -214,7 +213,7 @@ def test_residual_tiny_when_frequencies_outnumber_cells():
     start = int(rng.integers(0, grid.samples - 48))
     triple = np.arange(start, start + 48)
     f_vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    g, _, rel_sv = moment_match(f_vals, sigma, triple[16:32], triple)
+    g, _, rel_sv, _ = moment_match(f_vals, sigma, triple)
     assert rel_sv < 1e-10
     b = -g.copy()
     b[16:32] += f_vals
@@ -225,12 +224,31 @@ def test_residual_tiny_when_frequencies_outnumber_cells():
         assert abs(resid) <= 1e-8 * h * np.sum(np.abs(f_vals))
 
 
+def test_no_moment_content_lost_to_a_cutoff():
+    # a cutoff of 1e-5 * s_max on E dropped real moment content of this
+    # atom and left c6 at 2.29e-6
+    grid = TorusGrid(period=128, samples=2**15)
+    rng = np.random.default_rng(208)
+    slots = np.arange(-grid.samples // 2 + 128, grid.samples // 2 - 127, 128)
+    sigma = FrequencySet(grid, np.sort(rng.choice(slots, 64, replace=False)))
+    start = int(rng.integers(16, grid.samples - 32))
+    triple = np.arange(start - 16, start + 32)
+    f_vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    g = moment_match(f_vals, sigma, triple)[0]
+    b = -g
+    b[16:32] += f_vals
+    h = grid.h
+    l1 = h * np.sum(np.abs(f_vals))
+    x3 = triple * h
+    c6 = max(abs(h * np.sum(b * np.exp(-2j * np.pi * xi * x3))) for xi in sigma.frequencies())
+    assert c6 / l1 <= TOL_ORTH
+
+
 def test_rank_deficient_gram_reported(grid):
     # one-cell interval with many frequencies: Gram rank is at most 3
     sigma = FrequencySet.from_frequencies(grid, list(np.arange(8.0) - 4.0))
-    cells = np.arange(100, 101)
     triple = np.arange(99, 102)
-    g, moments, rel_sv = moment_match(np.array([2.0 + 0j]), sigma, cells, triple)
+    g, moments, rel_sv, _ = moment_match(np.array([2.0 + 0j]), sigma, triple)
     assert rel_sv < 1e-10
     h = grid.h
     b = -g.copy()
@@ -282,7 +300,11 @@ def test_decomposition_properties(seed, n_freq, n_spikes, frac):
         # moment matching projects f_J, so it never adds L2 mass
         g2 = np.linalg.norm(atom.g_values)
         assert g2 <= np.linalg.norm(atom.f_values) * (1 + 1e-12)
+        l1 = atom.f_signal().norm1()
+        resid = np.max(np.abs(full_moments(atom.b_signal(), sigma)))
+        assert abs(atom.moment_residual - resid) <= 1e-12 * l1
     assert np.max(np.abs(total - f.values)) <= 1e-12 * f.norm_inf()
+    assert verify_mfcz(dec).c6 <= TOL_ORTH
 
 
 def test_atom_support_and_disjointness(grid, rng):
@@ -361,6 +383,16 @@ def test_report_constants_on_corpus(grid, rng):
                 assert np.isfinite(c) and c >= 0
             reports.append(rep)
     assert max(r.c5 for r in reports) <= 16
+
+
+def test_c6_is_the_stored_residual_over_the_local_mass(grid, rng):
+    sigma = FrequencySet.from_frequencies(grid, [0.0, 1.0])
+    f = spiky_signal(grid, rng)
+    dec = mfcz_decompose(f, f.norm_inf() / 3, sigma)
+    atom = dec.atoms[0]
+    worse = dataclasses.replace(atom, moment_residual=1e-3)
+    rep = verify_mfcz(dataclasses.replace(dec, atoms=(worse,) + dec.atoms[1:]))
+    assert rep.c6 == pytest.approx(1e-3 / atom.f_signal().norm1(), rel=1e-12)
 
 
 def test_reports_csv(tmp_path, grid, rng):

@@ -7,15 +7,18 @@ import pytest
 
 from multifreq.bumps import bump_profile, dk_tiles, build_dk_symbol
 from multifreq.errors import GridMismatchError, ResolutionError, SymbolSupportError
+from multifreq.fluctuation import symbol_vr_norm
 from multifreq.grid import (
     FrequencySet,
     Signal,
     Spectrum,
     TorusGrid,
+    apply_multiplier,
     forward_transform,
     inverse_transform,
 )
 from multifreq.bumps import plateau_profile
+from multifreq.symbols import vr_layer_decompose
 from multifreq.operators import (
     CorollaryConstants,
     RoughMultiplierSpec,
@@ -126,8 +129,9 @@ def test_spec_sorts_and_records_norms(default_grid):
     assert spec.intervals == ((-400, -300), (200, 300))
     assert np.array_equal(spec.symbols[0], s2)
     # interior indicator has r-variation 1 + 2^(1/r)
-    assert spec.vr_norms[1] == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-12)
-    assert spec.vr_norms[0] == pytest.approx(0.5 * (1.0 + np.sqrt(2.0)), rel=1e-12)
+    norms = [symbol_vr_norm(s, spec.r) for s in spec.symbols]
+    assert norms[1] == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-12)
+    assert norms[0] == pytest.approx(0.5 * (1.0 + np.sqrt(2.0)), rel=1e-12)
     assert spec.n_intervals == 2
 
 
@@ -458,6 +462,27 @@ def test_rvar_m_cross_path_corpus():
         layered = rvar_M(f, spec, "layered", tol=1e-3)
         worst = max(worst, (direct - layered).norm2() / (1e-3 * f.norm2()))
     assert worst <= 10.0
+
+
+def test_rvar_m_layered_applies_every_layer(rng):
+    # the layered multiplier is each member symbol less its remainder
+    grid = TorusGrid(period=128, samples=4096)
+    half = grid.samples // 2
+    syms = []
+    for lo, hi in ((-900, -100), (40, 700)):
+        s = np.zeros(grid.samples, dtype=np.complex128)
+        cells = np.arange(lo, hi) - 0.5 * (lo + hi)
+        s[half + lo : half + hi] = rng.uniform(0.5, 1) * plateau_profile(
+            cells, 0.2 * (hi - lo), 0.499 * (hi - lo)
+        )
+        syms.append(s)
+    spec = RoughMultiplierSpec(grid, ((-900, -100), (40, 700)), symbols=tuple(syms), r=2.5)
+    f = Signal(grid, rng.standard_normal(grid.samples) + 1j * rng.standard_normal(grid.samples))
+    want = np.zeros(grid.samples, dtype=np.complex128)
+    for s in syms:
+        want += s - vr_layer_decompose(Spectrum(grid, s), spec.r, 1e-2).remainder.values
+    got = rvar_M(f, spec, "layered", tol=1e-2)
+    assert (got - apply_multiplier(f, Spectrum(grid, want))).norm2() <= 1e-12 * f.norm2()
 
 
 def test_rvar_m_single_bump_cross_path(default_grid, rng):

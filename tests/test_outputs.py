@@ -203,7 +203,6 @@ def test_run_suite_bytes(tmp_path, experiment):
         "grid_samples=1024\n"
         "n_list=2,4,8,16\n"
         "q=3\n"
-        "r=2\n"
         "trials=4\n"
         "seed=0\n"
         "family=all\n"
@@ -230,7 +229,6 @@ def test_run_suite_bytes_of_a_degenerate_fit(tmp_path, monkeypatch):
         "grid_samples=1024\n"
         "n_list=2,4,8,16\n"
         "q=2.3333333333333335\n"
-        "r=2\n"
         "trials=4\n"
         "seed=0\n"
         "family=atom\n"
