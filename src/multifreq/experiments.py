@@ -59,9 +59,8 @@ _STRONG_FAMILIES = ("gaussian", "signs", "atom")
 # sign inputs for any trial count
 TRIAL_BLOCK = 8
 
-# cells in the narrowest lane of a rough spec; log2 of the widest weak atom
-_MIN_LANE = 8
-_WEAK_ATOM_LOG2 = 8
+_MIN_LANE = 8  # cells in the narrowest lane of a rough spec
+_WEAK_ATOM_LOG2 = 8  # log2 of the widest weak-family atom
 
 
 def _setup_rng(seed: int, n: int) -> np.random.Generator:
@@ -362,7 +361,6 @@ class ExperimentConfig:
             raise ValueError("variation exponent q must exceed 2")
         if self.family != "all" and self.family not in _STRONG_FAMILIES:
             raise ValueError(f"unknown input family {self.family!r}")
-        # what the input generators and samplers of run_suite need
         kind, op_id = _EXPERIMENTS[self.experiment]
         if op_id == "vq_dk":
             default_scale_range(self.grid())  # raises ValueError at grid_period 1
@@ -370,8 +368,10 @@ class ExperimentConfig:
             raise ValueError(f"cannot place {ns[-1]} disjoint intervals on this grid")
         if kind == "weak" and self.grid_samples < 2**_WEAK_ATOM_LOG2:
             raise ValueError(f"weak inputs need grid_samples >= {2**_WEAK_ATOM_LOG2}")
-        if kind == "strong" and self.family in ("all", "signs") and self.grid_period <= 2:
-            # the sign envelope's plateau period/4 must stay below period/2 - 1/2
+        # family "all" draws a sign input from trial 1 on, and the sign
+        # envelope needs its plateau period/4 below period/2 - 1/2
+        signs = self.family == "signs" or (self.family == "all" and self.trials > 1)
+        if kind == "strong" and signs and self.grid_period <= 2:
             raise ValueError("sign inputs need grid_period > 2")
 
     def grid(self) -> TorusGrid:

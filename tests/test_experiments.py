@@ -192,6 +192,15 @@ def test_a_config_that_constructs_runs(
     run_suite(config)
 
 
+def test_one_trial_draws_no_sign_input(tmp_path):
+    # family "all" starts with a gaussian trial, so period 2 is runnable
+    config = ExperimentConfig(
+        "vq-l2-scaling", grid_period=2, grid_samples=64, n_list=N_LIST, trials=1,
+        out_dir=str(tmp_path),
+    )
+    assert [r.argmax for r in run_suite(config).rows] == ["gaussian[0]"] * 4
+
+
 @pytest.mark.parametrize("experiment", ["rough-mult-scaling", "rvar-mult"])
 def test_q_is_free_where_no_variation_is_taken(experiment):
     assert ExperimentConfig(experiment, n_list=N_LIST, q=2.0).q == 2.0
