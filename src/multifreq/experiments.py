@@ -9,11 +9,16 @@ width reproduces the serial numbers exactly.
 
 Work is split in two.  ``_build_setup`` makes one frozen plan per N: the
 sampled frequency set or interval spec, the scale-window symbol stack
-for ``vq_dk`` and the assembled symbol for ``rough_T``/``rvar_M``.  The
-trials then run in blocks of ``TRIAL_BLOCK``, and a block computes each
-exponential its sign trials share once.  Plans and blocks share work but
-never change a bit: every trial does the same arithmetic, in the same
-order, as it would alone.
+for ``vq_dk``, and for ``rough_T``/``rvar_M`` the assembled symbol in FFT
+order.  The trials then run in blocks of ``TRIAL_BLOCK``, through one
+complex (``TRIAL_BLOCK``, samples) buffer that every block of the N
+reuses, ``TRIAL_BLOCK * samples * 16`` bytes.  A block computes each
+exponential its sign trials share once, writes its inputs into the
+buffer's rows, and the plan maps the rows to their outputs in place:
+multiplier plans put the whole block through one transform pair instead
+of calling ``rough_T``/``rvar_M`` per trial, and ``vq_dk`` plans apply it
+row by row.  Plans and blocks share work but never change a bit: every
+trial does the same arithmetic, in the same order, as it would alone.
 """
 
 from __future__ import annotations
@@ -32,14 +37,13 @@ from .grid import (
     Spectrum,
     TorusGrid,
     _cell,
+    _multiply_rows,
     inverse_transform,
     write_csv,
 )
 from .operators import (
     RoughMultiplierSpec,
     default_scale_range,
-    rough_T,
-    rvar_M,
     vq_dk,
 )
 
@@ -116,18 +120,17 @@ def sample_rough_spec(
 
 @dataclass(frozen=True)
 class _Plan:
-    """What every trial of one N shares: the operator with its symbols
-    built, the frequency zones the gaussian family paints, and the
-    representative frequencies the sign family combines."""
+    """What every trial of one N shares: the operator, which maps a block
+    of input rows to their outputs in place, the frequency zones the
+    gaussian family paints, and the representative frequencies the sign
+    family combines."""
 
-    op: Callable[[Signal], Signal]
+    apply: Callable[[np.ndarray, Callable], None]
     zones: tuple[tuple[int, int], ...]
     reps: np.ndarray
 
 
 def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, seed: int) -> _Plan:
-    # trials call the operators through this module's bindings, so
-    # wrappers installed on them see every call
     rng = _setup_rng(seed, n)
     if op_id == "vq_dk":
         sigma = sample_separated_set(grid, n, rng)
@@ -137,14 +140,24 @@ def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, seed: int) -> _P
         zones = tuple(
             (max(int(c) - halfw, -half), min(int(c) + halfw + 1, half)) for c in sigma.indices
         )
-        return _Plan(lambda f: vq_dk(f, sigma, q, symbols=stack), zones, sigma.indices)
+
+        def apply(rows, run):
+            # vq_dk is not linear, so it takes one row at a time, through
+            # this module's binding so that wrappers installed on it see
+            # every call
+            def one(i):
+                rows[i] = vq_dk(Signal(grid, rows[i]), sigma, q, symbols=stack).values
+
+            list(run(one, range(len(rows))))
+
+        return _Plan(apply, zones, sigma.indices)
     spec = sample_rough_spec(grid, n, rng, with_symbols=(op_id == "rvar_M"))
-    if op_id == "rough_T":
-        op = lambda f: rough_T(f, spec)
-    else:
-        op = lambda f: rvar_M(f, spec)
+    # rough_T and rvar_M (direct path) multiply by the assembled symbol;
+    # stored in FFT order, it goes through the whole block in one transform
+    # pair with the bits of one rough_T/rvar_M call per trial
+    symbol = np.fft.ifftshift(spec.assembled_symbol().values)
     reps = np.array([(lo + hi) // 2 for lo, hi in spec.intervals])
-    return _Plan(op, spec.intervals, reps)
+    return _Plan(lambda rows, run: _multiply_rows(rows, symbol, grid.h), spec.intervals, reps)
 
 
 def _gaussian_zone_input(grid: TorusGrid, zones, rng) -> Signal:
@@ -233,34 +246,41 @@ def _run_trials(
             return "delta-or-atom"
         return family if family != "all" else _STRONG_FAMILIES[trial % 3]
 
-    def one(trial: int, f: Signal | None) -> tuple[float, str]:
-        label = label_of(trial)
+    def load(trial: int, row: np.ndarray, f: Signal | None) -> float:
+        # write the trial's input into its row and return its denominator
         if f is None:
             rng = _trial_rng(seed, n, trial)
             if weak:
                 f = _weak_input(grid, rng)
-            elif label == "gaussian":
+            elif label_of(trial) == "gaussian":
                 f = _gaussian_zone_input(grid, plan.zones, rng)
             else:
                 f = _atom_input(grid, rng)
-        denom = f.norm1() if weak else f.norm2()
+        row[:] = f.values
+        return f.norm1() if weak else f.norm2()
+
+    def score(trial: int, row: np.ndarray, denom: float) -> tuple[float, str]:
+        label = f"{label_of(trial)}[{trial}]"
         if denom == 0.0:
-            return 0.0, f"{label}[{trial}]"
-        out = plan.op(f)
+            return 0.0, label
         if weak:
-            value = weak_lambda_scan(out.values, grid.h, denom)
-        else:
-            value = out.norm2() / denom
-        return value, f"{label}[{trial}]"
+            return weak_lambda_scan(row, grid.h, denom), label
+        return Signal(grid, row).norm2() / denom, label
 
     def blocks(run):
+        # one buffer for every block of this N; a block's rows are its
+        # inputs until the plan maps them to its outputs
+        buf = np.empty((min(trials, TRIAL_BLOCK), grid.samples), dtype=np.complex128)
         results = []
         for start in range(0, trials, TRIAL_BLOCK):
             block = range(start, min(start + TRIAL_BLOCK, trials))
+            rows = buf[: len(block)]
             signed = [t for t in block if label_of(t) == "signs"]
             made = _sign_combo_block(grid, plan.reps, [_trial_rng(seed, n, t) for t in signed])
             inputs = dict(zip(signed, made))
-            results.extend(run(one, block, [inputs.get(t) for t in block]))
+            denoms = list(run(load, block, rows, [inputs.get(t) for t in block]))
+            plan.apply(rows, run)
+            results.extend(run(score, block, rows, denoms))
         return results
 
     if workers > 1:

@@ -112,24 +112,22 @@ def select_intervals(f: Signal, lam: float, n_freq: int) -> list[tuple[int, int]
     threshold = lam / np.sqrt(n_freq)
     m = f.grid.samples
     cum = np.concatenate([[0.0], np.cumsum(mags)])
-
-    def avg(start, size):
-        return (cum[start + size] - cum[start]) / size
-
-    if avg(0, m) > threshold:
+    if (cum[m] - cum[0]) / m > threshold:
         raise DegenerateInputError(
             "average height exceeds lam/sqrt(N) on the whole torus; decomposition degenerate"
         )
+    # level by level: every average of one size at once, each computed as
+    # (cum[start + size] - cum[start]) / size; a node is open while no
+    # ancestor lies above the threshold
     selected: list[tuple[int, int]] = []
-    stack = [(0, m)]
-    while stack:
-        start, size = stack.pop()
-        half = size // 2
-        for s in (start, start + half):
-            if avg(s, half) > threshold:
-                selected.append((s, half))
-            elif half > 1:
-                stack.append((s, half))
+    open_nodes = np.ones(1, dtype=bool)
+    size = m
+    while size > 1 and open_nodes.any():
+        size //= 2
+        open_nodes = np.repeat(open_nodes, 2)
+        above = (cum[size::size] - cum[:-size:size]) / size > threshold
+        selected.extend((int(i) * size, size) for i in np.flatnonzero(open_nodes & above))
+        open_nodes &= ~above
     selected.sort()
     return selected
 

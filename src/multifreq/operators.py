@@ -199,9 +199,15 @@ def vq_dk(
         for sym in symbols:
             _check_same_grid(f, sym)
     fhat = forward_transform(f)
-    stack = np.empty((len(scale_range), f.grid.samples), dtype=np.complex128)
+    prods = np.empty((len(scale_range), f.grid.samples), dtype=np.complex128)
     for row, sym in enumerate(symbols):
-        stack[row] = inverse_transform(Spectrum(f.grid, fhat.values * sym.values)).values
+        np.multiply(fhat.values, sym.values, out=prods[row])
+    # one inverse transform for every scale; each row gets the bits of
+    # inverse_transform applied to it alone
+    stack = np.fft.ifftshift(prods, axes=-1)
+    del prods
+    np.fft.ifft(stack, out=stack)
+    stack /= f.grid.h
     out = variation_dp(np.stack((stack.real, stack.imag), axis=1), q)
     if mode == "nonhomogeneous":
         out = np.maximum(out, np.max(np.abs(stack), axis=0))

@@ -1,5 +1,7 @@
 """Seeded norm estimation, scaling fits and the run_suite outputs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -106,16 +108,25 @@ def test_sign_block_matches_inputs_made_alone(reps, count, seed):
     assert [f.values.tobytes() for f in block] == [f.values.tobytes() for f in alone]
 
 
-@pytest.mark.parametrize("family", ["all", "signs"])
+@pytest.mark.parametrize(
+    "family, trials",
+    [
+        pytest.param(family, trials, id=family if trials == 20 else f"{family}-{trials}")
+        for trials in (20, 1, 9)
+        for family in ("all", "signs")
+    ],
+)
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_run_suite_rows_match_a_per_trial_loop(tmp_path, experiment, family):
-    # 20 trials make three blocks, each holding several sign trials
+def test_run_suite_rows_match_a_per_trial_loop(tmp_path, experiment, family, trials):
+    # 1 trial is a single partial block; 9 trials reuse the block buffer
+    # for one row, over a stale one; 20 trials make three blocks, each
+    # holding several sign trials
     config = ExperimentConfig(
         experiment,
         grid_period=SMALL.period,
         grid_samples=SMALL.samples,
         n_list=N_LIST,
-        trials=20,
+        trials=trials,
         seed=11,
         family=family,
         out_dir=str(tmp_path),
@@ -255,3 +266,19 @@ def test_weak_lambda_scan_on_step_data():
     h, norm1 = 0.5, 2.0
     want = lam[3] * 321 * h / norm1
     assert weak_lambda_scan(values, h, norm1, n_lambda=6) == pytest.approx(want, rel=1e-15)
+
+
+def test_rough_suite_memory_is_one_block_buffer(tmp_path):
+    # the (TRIAL_BLOCK, samples) complex buffer is 4 MiB on the default
+    # grid; the bound leaves room for one trial's arrays beside it, but
+    # not for a second buffer made while the first is still held
+    config = ExperimentConfig(
+        "rough-mult-scaling", n_list=N_LIST, trials=16, out_dir=str(tmp_path)
+    )
+    tracemalloc.start()
+    try:
+        run_suite(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

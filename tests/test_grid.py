@@ -6,6 +6,7 @@ O(M^2) kernel sums, independently of any FFT library code path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifreq import (
     DyadicFreqInterval,
@@ -28,6 +29,8 @@ from multifreq import (
     spectrum_to_csv,
     vq_dk,
 )
+from multifreq.experiments import TRIAL_BLOCK
+from multifreq.grid import _multiply_rows
 
 
 def random_signal(grid, rng):
@@ -172,6 +175,31 @@ def test_multiplier_grid_mismatch(small_grid, default_grid):
     s = Spectrum(default_grid, np.zeros(default_grid.samples))
     with pytest.raises(GridMismatchError):
         apply_multiplier(f, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, TRIAL_BLOCK),
+    st.sampled_from([(1, 4), (4, 64), (16, 1024), (128, 2**15)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_kernel_has_the_bytes_of_one_transform_pair_per_row(count, shape, real, seed):
+    grid = TorusGrid(*shape)
+    rng = np.random.default_rng(seed)
+    sigs = [random_signal(grid, rng) for _ in range(count)]
+    # zeros and negative entries, as sharp and rough symbols have
+    sym = rng.standard_normal(grid.samples)
+    if not real:
+        sym = sym + 1j * rng.standard_normal(grid.samples)
+    sym[rng.random(grid.samples) < 0.3] = 0.0
+    symbol = Spectrum(grid, sym)
+    rows = np.array([f.values for f in sigs])
+    _multiply_rows(rows, np.fft.ifftshift(symbol.values), grid.h)
+    for f, row in zip(sigs, rows):
+        alone = inverse_transform(Spectrum(grid, forward_transform(f).values * symbol.values))
+        assert row.tobytes() == alone.values.tobytes()
+        assert apply_multiplier(f, symbol).values.tobytes() == alone.values.tobytes()
 
 
 # --------------------------------------------------------------------------

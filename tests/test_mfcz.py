@@ -73,6 +73,30 @@ def selection_oracle(f, lam, n_freq):
     return sorted(out)
 
 
+def stack_walk_selection(f, lam, n_freq):
+    """The dyadic tree walked one node at a time with a stack, each
+    average taken from the cumulative sums as select_intervals takes it."""
+    mags = np.abs(f.values)
+    threshold = lam / np.sqrt(n_freq)
+    m = f.grid.samples
+    cum = np.concatenate([[0.0], np.cumsum(mags)])
+
+    def avg(start, size):
+        return (cum[start + size] - cum[start]) / size
+
+    selected = []
+    stack = [(0, m)]
+    while stack:
+        start, size = stack.pop()
+        half = size // 2
+        for s in (start, start + half):
+            if avg(s, half) > threshold:
+                selected.append((s, half))
+            elif half > 1:
+                stack.append((s, half))
+    return sorted(selected)
+
+
 def full_moments(atom_signal, sigma):
     grid = sigma.grid
     x = grid.positions()
@@ -94,6 +118,35 @@ def test_selection_matches_oracle(grid, rng):
         n_freq = sigma_sizes[trial % 3]
         got = select_intervals(f, lam, n_freq)
         assert got == selection_oracle(f, lam, n_freq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 4, 16]),
+    st.booleans(),
+)
+def test_level_scan_matches_the_stack_walk(log_samples, seed, n_freq, tie):
+    grid = TorusGrid(period=1, samples=2**log_samples)
+    m = grid.samples
+    rng = np.random.default_rng(seed)
+    # sparse small-integer magnitudes make many dyadic averages equal
+    mags = rng.integers(0, 3, m) * (rng.random(m) < 0.4)
+    assume(mags.any())
+    if tie:
+        # a threshold equal to one node's average probes the strict >
+        size = 2 ** int(rng.integers(0, log_samples))
+        start = size * int(rng.integers(m // size))
+        height = float(np.mean(mags[start:start + size]))
+    else:
+        height = float(rng.uniform(0.05, 2.0))
+    assume(np.mean(mags) <= height)
+    f = Signal(grid, mags * rng.choice([-1.0, 1.0], m))
+    lam = height * np.sqrt(n_freq)
+    got = select_intervals(f, lam, n_freq)
+    assert got == stack_walk_selection(f, lam, n_freq)
+    assert all(type(start) is int and type(size) is int for start, size in got)
 
 
 def test_selection_known_example():

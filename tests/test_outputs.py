@@ -14,6 +14,7 @@ import pytest
 
 import multifreq.experiments as mx
 from multifreq import (
+    RoughMultiplierSpec,
     Signal,
     Spectrum,
     TorusGrid,
@@ -211,9 +212,15 @@ def test_run_suite_bytes(tmp_path, experiment):
 
 
 def test_run_suite_bytes_of_a_degenerate_fit(tmp_path, monkeypatch):
-    # an operator that annihilates every input scores 0 at each N, so the
-    # fit is degenerate and every float cell is an exact zero
-    monkeypatch.setattr(mx, "rvar_M", lambda f, spec: Signal(f.grid, np.zeros(f.grid.samples)))
+    # a spec whose symbols are all zero annihilates every input, so each N
+    # scores 0, the fit is degenerate and every float cell is an exact zero
+    sample = mx.sample_rough_spec
+
+    def annihilating_spec(grid, n, rng, with_symbols=False):
+        spec = sample(grid, n, rng, with_symbols)
+        return RoughMultiplierSpec(grid, spec.intervals, symbols=(np.zeros(grid.samples),) * n)
+
+    monkeypatch.setattr(mx, "sample_rough_spec", annihilating_spec)
     table, fit, manifest = suite_files(tmp_path, "rvar-mult", family="atom", q=7 / 3)
     assert table == (
         "experiment,n,estimate,trials,argmax\n"
