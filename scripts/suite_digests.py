@@ -3,10 +3,14 @@
 Every pass writes three files (``<exp>.csv``, ``<exp>_fit.csv`` and
 ``manifest.txt``) and gets one line per file, so two trees whose lines
 agree wrote the same bytes, and a change to one file shows as that
-file's lines alone in a diff.  The suites, their configs and the pass
-seeds come from ``perfbench/workloads.py``, which is only read.  The
-library is imported from ``PYTHONPATH``, so the same script checks any
-tree:
+file's lines alone in a diff.  ``--suites decompose`` instead replays the
+layered ``rvar_M`` call of each ``decompose`` pass and prints one line per
+member symbol, the digest of its ``layered_to_csv`` text
+(``layers_<i>.csv``), and one for the bytes of the ``rvar_M`` output
+(``rvar_M_layered``).  The suites, their configs, the decompose inputs
+and the pass seeds come from ``perfbench/workloads.py``, which is only
+read.  The library is imported from ``PYTHONPATH``, so the same script
+checks any tree:
 
     PYTHONPATH=src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > new.txt
     PYTHONPATH=/path/to/other/src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > old.txt
@@ -29,6 +33,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 SUITES = [name for name, w in workloads.WORKLOADS.items() if isinstance(w, workloads.Suite)]
+LAYERED = [name for name, w in workloads.WORKLOADS.items() if isinstance(w, workloads.Decompose)]
 
 
 def _seeds(text: str) -> list[int]:
@@ -48,9 +53,28 @@ def pass_digests(suite, pass_seed: int, workers: int) -> list[tuple[str, str]]:
         return digests
 
 
+def layered_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]:
+    """(name, sha256) for each member's layer CSV and for the layered
+    ``rvar_M`` output of one decompose pass; ``workers`` is unused."""
+    mf = workloads.multifreq
+    grid, rng, f, *_ = work.inputs(pass_seed)
+    spec = workloads.mx.sample_rough_spec(grid, work.SPEC_N, rng, with_symbols=True)
+    digests = []
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "layers.csv")
+        for i, sym in enumerate(spec.symbols):
+            layered = mf.vr_layer_decompose(mf.Spectrum(grid, sym), spec.r, work.LAYER_TOL)
+            mf.layered_to_csv(layered, path)
+            with open(path, "rb") as fh:
+                digests.append((f"layers_{i}.csv", hashlib.sha256(fh.read()).hexdigest()))
+    values = mf.rvar_M(f, spec, "layered", tol=work.LAYER_TOL).values
+    digests.append(("rvar_M_layered", hashlib.sha256(values.tobytes()).hexdigest()))
+    return digests
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suites", nargs="+", choices=SUITES, default=SUITES)
+    parser.add_argument("--suites", nargs="+", choices=SUITES + LAYERED, default=SUITES)
     parser.add_argument("--seeds", type=_seeds, default=_seeds("0-9"), help="run seeds, e.g. 0-9")
     parser.add_argument("--passes", type=int, default=10, help="passes per run seed")
     parser.add_argument("--workers", type=int, default=1)
@@ -60,7 +84,8 @@ def main(argv=None) -> None:
         for seed in args.seeds:
             for i in range(args.passes):
                 ps = workloads.pass_seed(seed, i)
-                for file, digest in pass_digests(workloads.WORKLOADS[name], ps, args.workers):
+                digests = layered_digests if name in LAYERED else pass_digests
+                for file, digest in digests(workloads.WORKLOADS[name], ps, args.workers):
                     print(name, seed, ps, file, digest, flush=True)
 
 

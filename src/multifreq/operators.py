@@ -262,13 +262,17 @@ def rvar_M(
     if path != "layered":
         raise ValueError(f"unknown path {path!r}")
     grid = spec.grid
+    slot = grid.slot
     acc = np.zeros(grid.samples, dtype=np.complex128)
     for sym in spec.symbols:
         layered = vr_layer_decompose(Spectrum(grid, sym), spec.r, tol)
         # linearity: accumulating every layer of every member into one
-        # multiplier equals applying the layers one at a time
-        for j in range(len(layered.layers)):
-            acc += layered.layer_values(j)
+        # multiplier equals applying the layers one at a time; the pieces
+        # of a layer are disjoint, so each cell still takes one addition
+        # per layer, in layer order
+        for layer in layered.layers:
+            for piece in layer:
+                acc[slot(piece.lo) : slot(piece.hi)] += piece.coeff
     return apply_multiplier(f, Spectrum(grid, acc))
 
 

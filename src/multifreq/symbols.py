@@ -106,24 +106,49 @@ class LayeredSymbol:
         return tuple(len(layer) for layer in self.layers)
 
 
+# widths of the windows after a stop that the stop search tests, in
+# turn, before it takes the rest of the tail
+_STOP_WINDOWS = (64, 256, 1024, 4096)
+
+
+def _next_stop(vals: np.ndarray, pos: int, eps: float) -> int | None:
+    """First index after ``pos`` whose value drifts more than eps from
+    ``vals[pos]``, or None. It is the index a scan of the whole tail
+    finds, but a stop close to ``pos`` is found without touching the
+    rest of the tail."""
+    n = vals.shape[0]
+    ref = vals[pos]
+    lo = pos + 1
+    for width in (*_STOP_WINDOWS, n):
+        hi = min(pos + 1 + width, n)
+        over = np.abs(vals[lo:hi] - ref) > eps
+        i = int(np.argmax(over))
+        if over[i]:
+            return lo + i
+        if hi == n:
+            return None
+        lo = hi
+
+
 def _stop_positions(vals: np.ndarray, eps: float) -> np.ndarray:
     """Left-to-right stopping: restart whenever the value drifts more
-    than eps from the value at the previous stop."""
-    pos = 0
+    than eps from the value at the previous stop.
+
+    A level costs O(stops * window + n), where window is the widest
+    window a stop search reached, rather than the O(stops * n) of
+    scanning the whole tail from every stop.
+    """
     stops = [0]
-    n = vals.shape[0]
-    while pos + 1 < n:
-        over = np.abs(vals[pos + 1 :] - vals[pos]) > eps
-        if not over.any():
+    while stops[-1] + 1 < vals.shape[0]:
+        nxt = _next_stop(vals, stops[-1], eps)
+        if nxt is None:
             break
-        pos = pos + 1 + int(np.argmax(over))
-        stops.append(pos)
+        stops.append(nxt)
     return np.asarray(stops, dtype=np.int64)
 
 
 def _step_approximant(vals: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    seg = np.searchsorted(stops, np.arange(vals.shape[0]), side="right") - 1
-    return vals[stops[seg]]
+    return np.repeat(vals[stops], np.diff(stops, append=vals.shape[0]))
 
 
 def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbol:
@@ -168,13 +193,11 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
         stops = _stop_positions(vals, eps)
         approx = _step_approximant(vals, stops)
         breaks = np.union1d(prev_stops, stops)
-        ends = np.append(breaks[1:], m_samp)
-        pieces = []
-        for b, e in zip(breaks, ends):
-            d = approx[b] - prev_approx[b]
-            if d != 0:
-                pieces.append(LayerPiece(int(b) - half, int(e) - half, complex(d)))
-        layers.append(tuple(pieces))
+        d = approx[breaks] - prev_approx[breaks]
+        keep = np.flatnonzero(d != 0)
+        los = (breaks[keep] - half).tolist()
+        his = (np.append(breaks[1:], m_samp)[keep] - half).tolist()
+        layers.append(tuple(map(LayerPiece, los, his, d[keep].tolist())))
         prev_stops = stops
         prev_approx = approx
         if np.array_equal(approx, vals):

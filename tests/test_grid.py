@@ -129,6 +129,26 @@ def test_plancherel(default_grid, rng):
     assert forward_transform(f).norm2() == pytest.approx(f.norm2(), rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1, 4), (8, 64), (16, 1024), (128, 2**15)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_parseval(shape, seed):
+    # <f, g> = h sum f conj(g) on the samples equals
+    # <F, G> = sum F conj(G) / period on the frequency lattice, both ways
+    grid = TorusGrid(*shape)
+    rng = np.random.default_rng(seed)
+    f, g = random_signal(grid, rng), random_signal(grid, rng)
+    fh, gh = forward_transform(f), forward_transform(g)
+    inner_x = grid.h * np.vdot(g.values, f.values)
+    inner_xi = np.vdot(gh.values, fh.values) / grid.period
+    assert abs(inner_x - inner_xi) <= 1e-12 * f.norm2() * g.norm2()
+    assert fh.norm2() == pytest.approx(f.norm2(), rel=1e-12)
+    spec = Spectrum(grid, rng.standard_normal(grid.samples) + 1j * rng.standard_normal(grid.samples))
+    assert inverse_transform(spec).norm2() == pytest.approx(spec.norm2(), rel=1e-12)
+
+
 def test_transform_length_mismatch(small_grid):
     with pytest.raises(ValueError):
         Signal(small_grid, np.zeros(12))

@@ -22,6 +22,7 @@ from multifreq import (
     entropy_profile,
     layered_to_csv,
     profile_to_csv,
+    rvar_M,
     signal_to_csv,
     spectrum_to_csv,
     vr_layer_decompose,
@@ -77,6 +78,36 @@ def test_layered_csv_bytes(tmp_path):
         "3,-1,8,0,0.5\n"
         "5,2,8,-0.33333333333333331,-0.5\n"
         "7,4,8,0.33333333333333331,0\n"
+    )
+
+
+# sha256 of layered_to_csv for each member of the seed-0 spec below
+LAYERED_SPEC_CSV = (
+    "f27678ed81b0cd44d3956eb7d55c6faff63efd752c0be6801445c486e8d5e57d",
+    "8ab5329ca795a1051c1c2b77db88c4bc06324613b2b1e86e3e77f93b02d36595",
+    "a4ebfff642348b97911838b6b11c5117580c9caeefa2bf87a6c2679e2165b962",
+    "8bfa1bec7ebaa50437d15b00b1454902a1106e3e30d77d67a8bb529566c89e0d",
+    "8a9d4d547fddb7f89f33dc88752fc8622a04432c9829c7898218f0b100e6b0b4",
+    "0604f75c9a8bffc7e9e1926736600d7506b5e0712aec5b4a6c176fa2ed0aa525",
+    "ad3466b3a3bebc80832a4fa846ba5df544afd6f2be045f7d31510eb056d327ae",
+    "1099d61f9d09c20f779416d805ad4d3f6f07947c793590e53802527c8c4855f8",
+)
+
+
+def test_layered_bytes_of_a_sampled_spec(tmp_path):
+    # the dome symbols the decompose benchmark layers, on the full default
+    # grid, so the stop scans run far past their first windows
+    grid = TorusGrid(128, 2**15)
+    rng = np.random.default_rng(0)
+    spec = mx.sample_rough_spec(grid, 8, rng, with_symbols=True)
+    for sym, expected in zip(spec.symbols, LAYERED_SPEC_CSV, strict=True):
+        layered = vr_layer_decompose(Spectrum(grid, sym), spec.r, 1e-3)
+        text = written(tmp_path, layered_to_csv, layered)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
+    f = Signal(grid, rng.standard_normal(grid.samples) + 1j * rng.standard_normal(grid.samples))
+    out = rvar_M(f, spec, "layered", tol=1e-3).values
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "4ff6c257e37dc5fa72bc5b1287825e455f7d5bce20a92cc078c15f8d680e0235"
     )
 
 

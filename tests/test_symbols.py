@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifreq.bumps import bump_profile, plateau_profile
 from multifreq.errors import ConstructionError, GridMismatchError, ResolutionError
@@ -15,6 +16,7 @@ from multifreq.grid import (
     inverse_transform,
 )
 from multifreq.symbols import (
+    _stop_positions,
     layered_to_csv,
     vr_layer_decompose,
     whitney_decompose,
@@ -52,6 +54,21 @@ def assert_layer_contract(layered, source_vals):
     rec = scatter_reconstruct(layered)
     assert np.max(np.abs(rec - source_vals)) <= 1e-12 * scale
     assert np.max(np.abs(layered.remainder.values)) <= layered.tol * v + 1e-15
+
+
+def plain_stop_positions(vals, eps):
+    """The stopping scan as it was first written: every stop rescans the
+    whole tail after it."""
+    pos = 0
+    stops = [0]
+    n = vals.shape[0]
+    while pos + 1 < n:
+        over = np.abs(vals[pos + 1 :] - vals[pos]) > eps
+        if not over.any():
+            break
+        pos = pos + 1 + int(np.argmax(over))
+        stops.append(pos)
+    return np.asarray(stops, dtype=np.int64)
 
 
 def random_step_symbol(grid, rng, n_jumps, monotone=False):
@@ -144,9 +161,12 @@ def pairing_oracle(f, omega, l, shift_cells):
 # ---------------------------------------------------------------------------
 # layer decomposition
 
+LAYER_GRID = TorusGrid(period=128, samples=4096)
+
+
 @pytest.fixture(scope="module")
 def layer_grid():
-    return TorusGrid(period=128, samples=4096)
+    return LAYER_GRID
 
 
 def test_layers_constant_symbol(layer_grid):
@@ -232,6 +252,84 @@ def test_layers_smooth_symbol(layer_grid):
     ls = vr_layer_decompose(Spectrum(layer_grid, vals), 2.0, tol=1e-2)
     assert_layer_contract(ls, vals)
     assert np.max(np.abs(ls.remainder.values)) > 0
+
+
+# run lengths on both sides of each galloping window edge
+WINDOW_EDGES = [63, 64, 65, 255, 256, 257, 1023, 1024, 1025, 4095, 4096, 4097]
+
+
+@st.composite
+def stop_scan_input(draw):
+    """A complex array of constant runs, short noisy runs and a zero
+    tail, up to 20000 cells, with a seed for the noise."""
+    value = st.sampled_from([0.0, 1.0, -1.0, 0.5j, 1e-300, 0.25 + 0.25j, 2.0 - 1.5j])
+    run = st.one_of(
+        st.tuples(st.just("const"), st.integers(1, 6000) | st.sampled_from(WINDOW_EDGES), value),
+        st.tuples(st.just("noise"), st.integers(1, 200), value),
+    )
+    runs = draw(st.lists(run, min_size=1, max_size=10))
+    tail = draw(st.integers(0, 20000) | st.sampled_from(WINDOW_EDGES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind, length, v in runs:
+        if kind == "const":
+            parts.append(np.full(length, v, dtype=np.complex128))
+        else:
+            parts.append(v + rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    parts.append(np.zeros(tail, dtype=np.complex128))
+    return np.concatenate(parts)[:20000]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stop_scan_input(),
+    st.sampled_from(["zero", "tiny", "inside", "above"]),
+    st.floats(0.0, 1.0),
+)
+def test_galloping_stop_scan_equals_the_plain_scan(vals, kind, frac):
+    span = float(np.max(np.abs(vals - vals[0])))
+    eps = {
+        "zero": 0.0,
+        "tiny": 5e-324 + frac * 1e-300,
+        "inside": frac * span,
+        "above": span * (1.0 + frac) + 1.0,
+    }[kind]
+    got = _stop_positions(vals, eps)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, plain_stop_positions(vals, eps))
+
+
+def dome_symbol(grid, lo, hi, coeff):
+    """A smooth dome on [lo, hi), as sample_rough_spec builds them."""
+    vals = np.zeros(grid.samples, dtype=np.complex128)
+    w = hi - lo
+    cells = np.arange(lo, hi) - 0.5 * (lo + hi)
+    vals[grid.slot(lo) : grid.slot(hi)] = coeff * plateau_profile(cells, 0.25 * w, 0.499 * w)
+    return vals
+
+
+@st.composite
+def layer_symbol(draw):
+    grid = LAYER_GRID
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_step_symbol(grid, rng, draw(st.integers(1, 16)), draw(st.booleans()))
+    vals = np.zeros(grid.samples, dtype=np.complex128)
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers(-2048, 2048 - 8))
+        hi = draw(st.integers(lo + 8, min(lo + 2048, 2048)))
+        vals += dome_symbol(grid, lo, hi, complex(rng.standard_normal(), rng.standard_normal()))
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(layer_symbol(), st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1e-2, 1e-3]))
+def test_layers_reconstruct_the_source(vals, r, tol):
+    ls = vr_layer_decompose(Spectrum(LAYER_GRID, vals), r, tol)
+    err = np.max(np.abs(ls.reconstruct().values - vals))
+    assert err <= 1e-12 * max(ls.source_norm, 1.0)
+    # piece-count, coefficient and remainder bounds
+    assert_layer_contract(ls, vals)
 
 
 def test_layers_validation(layer_grid):
