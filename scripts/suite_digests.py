@@ -3,14 +3,14 @@
 Every pass writes three files (``<exp>.csv``, ``<exp>_fit.csv`` and
 ``manifest.txt``) and gets one line per file, so two trees whose lines
 agree wrote the same bytes, and a change to one file shows as that
-file's lines alone in a diff.  ``--suites decompose`` instead replays the
-layered ``rvar_M`` call of each ``decompose`` pass and prints one line per
+file's lines alone in a diff.  For ``decompose`` it instead replays the
+layered ``rvar_M`` call of each pass and prints one line per
 member symbol, the digest of its ``layered_to_csv`` text
 (``layers_<i>.csv``), and one for the bytes of the ``rvar_M`` output
 (``rvar_M_layered``).  The suites, their configs, the decompose inputs
 and the pass seeds come from ``perfbench/workloads.py``, which is only
-read.  The library is imported from ``PYTHONPATH``, so the same script
-checks any tree:
+read.  ``--suites`` defaults to all four workloads.  The library is
+imported from ``PYTHONPATH``, so the same script checks any tree:
 
     PYTHONPATH=src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > new.txt
     PYTHONPATH=/path/to/other/src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > old.txt
@@ -74,7 +74,7 @@ def layered_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suites", nargs="+", choices=SUITES + LAYERED, default=SUITES)
+    parser.add_argument("--suites", nargs="+", choices=SUITES + LAYERED, default=SUITES + LAYERED)
     parser.add_argument("--seeds", type=_seeds, default=_seeds("0-9"), help="run seeds, e.g. 0-9")
     parser.add_argument("--passes", type=int, default=10, help="passes per run seed")
     parser.add_argument("--workers", type=int, default=1)

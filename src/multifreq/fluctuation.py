@@ -269,13 +269,6 @@ class EntropyProfile:
             return 1
         return int(1 + np.sum(self.radii > lam))
 
-    def effective_count(self, lam: float) -> int:
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        if lam >= self.rho:
-            return 0
-        return self.count(lam)
-
 
 def entropy_profile(points) -> EntropyProfile:
     pts = _as_real_points(points)

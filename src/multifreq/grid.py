@@ -75,10 +75,6 @@ class TorusGrid:
         return 1.0 / self.period
 
     @property
-    def nyquist(self) -> float:
-        return self.samples / (2 * self.period)
-
-    @property
     def finest_scale(self) -> int:
         """Largest k whose 2^-k tiles still span a lattice cell: log2(period)."""
         return int(self.period).bit_length() - 1
@@ -363,18 +359,23 @@ def signal_to_csv(sig: Signal, path) -> None:
 
 
 def signal_from_csv(grid: TorusGrid, path) -> Signal:
+    """Read ``signal_to_csv`` output; every index in [0, samples) must
+    appear exactly once."""
     vals = np.zeros(grid.samples, dtype=np.complex128)
+    seen = np.zeros(grid.samples, dtype=bool)
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "index,re,im":
             raise ValueError(f"unexpected header {header!r}")
-        count = 0
         for line in fh:
             i_s, re_s, im_s = line.strip().split(",")
-            vals[int(i_s)] = float(re_s) + 1j * float(im_s)
-            count += 1
-    if count != grid.samples:
-        raise ValueError(f"expected {grid.samples} rows, got {count}")
+            i = int(i_s)
+            if not 0 <= i < grid.samples or seen[i]:
+                raise ValueError(f"index {i} is outside [0, {grid.samples}) or repeated")
+            seen[i] = True
+            vals[i] = float(re_s) + 1j * float(im_s)
+    if not seen.all():
+        raise ValueError(f"expected {grid.samples} rows, got {int(seen.sum())}")
     return Signal(grid, vals)
 
 

@@ -42,17 +42,17 @@ def _cell_exponentials(grid: TorusGrid, sigma: FrequencySet, cells: np.ndarray) 
 class CZInterval:
     """One stopping interval with its atom.
 
-    ``cells`` index the dyadic interval J (never wrapping), ``triple_cells``
-    its concentric 3-fold dilation taken modulo the period.  ``g_values``
-    and ``b_values`` are stored compactly on ``triple_cells``.
+    J is the dyadic interval of cells [start_cell, start_cell + n_cells)
+    (never wrapping), ``triple_cells`` its concentric 3-fold dilation taken
+    modulo the period.  ``g_values`` and ``b_values`` are stored compactly
+    on ``triple_cells``.
     """
 
     grid: TorusGrid
     start_cell: int
     n_cells: int
-    cells: np.ndarray
     triple_cells: np.ndarray
-    f_values: np.ndarray  # f restricted to J, on `cells`
+    f_values: np.ndarray  # f restricted to J
     g_values: np.ndarray  # on `triple_cells`
     b_values: np.ndarray  # on `triple_cells`
     gram_min_sv: float  # smallest singular value of the Gram, relative to largest
@@ -61,16 +61,6 @@ class CZInterval:
     @property
     def measure(self) -> float:
         return self.n_cells * self.grid.h
-
-    def f_signal(self) -> Signal:
-        out = np.zeros(self.grid.samples, dtype=np.complex128)
-        out[self.cells] = self.f_values
-        return Signal(self.grid, out)
-
-    def b_signal(self) -> Signal:
-        out = np.zeros(self.grid.samples, dtype=np.complex128)
-        out[self.triple_cells] = self.b_values
-        return Signal(self.grid, out)
 
 
 @dataclass(frozen=True)
@@ -144,8 +134,8 @@ def moment_match(f_vals: np.ndarray, sigma: FrequencySet, triple_cells: np.ndarr
     """Least-norm g on the dilated interval whose moments against e(xi_j x)
     match those of f_J, which sits on the middle third of ``triple_cells``.
 
-    Returns (g, moments, relative smallest Gram singular value, residual
-    max_j |h (E b)_j| of b = f_J - g).  f_J itself solves h E g = moments,
+    Returns (g, relative smallest Gram singular value, residual
+    max_j |h (E b)_j| of b = f_J - g).  f_J itself solves h E g = h E f_J,
     so g is its orthogonal projection onto the span of the e(xi_j x) on
     the dilation: one SVD of E, cut at numpy's rank tolerance (as ``lstsq``
     with ``rcond=None``).  A projection never increases the L2 norm.  The
@@ -160,18 +150,16 @@ def moment_match(f_vals: np.ndarray, sigma: FrequencySet, triple_cells: np.ndarr
     f_pad = np.zeros(triple_cells.shape[0], dtype=np.complex128)
     f_pad[size:2 * size] = f_vals
     g_vals = v_k.conj().T @ (v_k @ f_pad)
-    moments = h * (e_3j[:, size:2 * size] @ f_vals)
     rel_min_sv = float((sv[-1] / sv[0]) ** 2) if sigma.n <= sv.shape[0] else 0.0
     resid = float(np.max(np.abs(h * (e_3j @ (f_pad - g_vals)))))
-    return g_vals, moments, rel_min_sv, resid
+    return g_vals, rel_min_sv, resid
 
 
 def _build_atom(f: Signal, sigma: FrequencySet, start: int, size: int) -> CZInterval:
     grid = f.grid
-    cells = np.arange(start, start + size)
     triple = _triple_cells(grid, start, size)
-    f_vals = f.values[cells]
-    g_vals, _, rel_min_sv, resid = moment_match(f_vals, sigma, triple)
+    f_vals = f.values[start:start + size]
+    g_vals, rel_min_sv, resid = moment_match(f_vals, sigma, triple)
     # b = f_J - g on the dilation; J sits at offsets [size, 2*size) within it
     b_vals = -g_vals
     b_vals[size:2 * size] += f_vals
@@ -179,7 +167,6 @@ def _build_atom(f: Signal, sigma: FrequencySet, start: int, size: int) -> CZInte
         grid=grid,
         start_cell=start,
         n_cells=size,
-        cells=cells,
         triple_cells=triple,
         f_values=f_vals,
         g_values=g_vals,

@@ -24,6 +24,7 @@ from .grid import (
     Spectrum,
     TorusGrid,
     _check_same_grid,
+    _freeze,
     apply_multiplier,
     forward_transform,
     inverse_transform,
@@ -68,6 +69,20 @@ def default_scale_range(grid: TorusGrid) -> ScaleRange:
     return ScaleRange(1, grid.finest_scale)
 
 
+def _lattice_symbol(grid: TorusGrid, raw, lo=None, hi=None, where="") -> np.ndarray:
+    """``raw`` as a complex full-lattice array.  Given array positions
+    ``lo`` and ``hi``, every nonzero cell must also sit in [lo, hi), the
+    span that ``where`` names in the error."""
+    arr = np.asarray(raw, dtype=np.complex128)
+    if arr.shape != (grid.samples,):
+        raise ValueError("symbols must live on the full lattice")
+    if lo is not None:
+        nz = np.flatnonzero(arr)
+        if nz.size and (nz[0] < lo or nz[-1] >= hi):
+            raise SymbolSupportError(f"symbol is supported outside {where}")
+    return arr
+
+
 @dataclass(frozen=True)
 class RoughMultiplierSpec:
     """Finite family of disjoint frequency intervals, each carrying either
@@ -75,8 +90,9 @@ class RoughMultiplierSpec:
 
     ``intervals`` are half-open lattice index pairs [lo, hi).  Exactly one
     of ``coefficients`` (complex, modulus at most 1) and ``symbols``
-    (full-lattice arrays, one per interval) must be given.  ``r`` is the
-    variation exponent the layered ``rvar_M`` path decomposes with.
+    (full-lattice arrays, one per interval) must be given.  Symbols are
+    frozen in place, not copied, as ``Signal`` freezes its values.  ``r``
+    is the variation exponent the layered ``rvar_M`` path decomposes with.
     """
 
     grid: TorusGrid
@@ -92,7 +108,8 @@ class RoughMultiplierSpec:
             raise ValueError("provide exactly one of coefficients or symbols")
         if self.r < 1:
             raise ValueError("variation exponent r must be >= 1")
-        half = self.grid.samples // 2
+        grid = self.grid
+        half = grid.samples // 2
         order = sorted(range(len(self.intervals)), key=lambda i: self.intervals[i][0])
         ivs = []
         for i in order:
@@ -105,47 +122,33 @@ class RoughMultiplierSpec:
                 raise SymbolSupportError("intervals overlap")
         object.__setattr__(self, "intervals", tuple(ivs))
 
+        slot = grid.slot
         if self.coefficients is not None:
-            coef = np.asarray(self.coefficients, dtype=np.complex128)[order]
+            coef = np.asarray(self.coefficients, dtype=np.complex128)
             if coef.shape != (len(ivs),):
                 raise ValueError("one coefficient per interval required")
-            if np.max(np.abs(coef)) > 1.0 + 1e-12:
-                raise ValueError("coefficients must have modulus at most 1")
-            coef.setflags(write=False)
-            object.__setattr__(self, "coefficients", coef)
+            # written so that NaN fails too
+            if not np.all(np.abs(coef) <= 1.0 + 1e-12):
+                raise ValueError("coefficients must be finite with modulus at most 1")
+            object.__setattr__(self, "coefficients", _freeze(coef[order]))
         else:
             if len(self.symbols) != len(ivs):
                 raise ValueError("one symbol per interval required")
-            syms = []
-            for i in order:
-                arr = np.asarray(self.symbols[i], dtype=np.complex128)
-                if arr.shape != (self.grid.samples,):
-                    raise ValueError("symbols must live on the full lattice")
-                lo, hi = ivs[len(syms)]
-                nz = np.flatnonzero(arr)
-                if nz.size and (nz[0] < self.grid.slot(lo) or nz[-1] >= self.grid.slot(hi)):
-                    raise SymbolSupportError(
-                        "symbol is supported outside its declared interval"
-                    )
-                arr = arr.copy()
-                arr.setflags(write=False)
-                syms.append(arr)
-            object.__setattr__(self, "symbols", tuple(syms))
+            syms = tuple(
+                _freeze(_lattice_symbol(grid, self.symbols[i], slot(lo), slot(hi), "its interval"))
+                for i, (lo, hi) in zip(order, ivs)
+            )
+            object.__setattr__(self, "symbols", syms)
 
         # the single multiplier, summed once for every application to share
-        slot = self.grid.slot
-        acc = np.zeros(self.grid.samples, dtype=np.complex128)
+        acc = np.zeros(grid.samples, dtype=np.complex128)
         if self.coefficients is not None:
             for (lo, hi), d in zip(self.intervals, self.coefficients):
                 acc[slot(lo) : slot(hi)] = d
         else:
             for s in self.symbols:
                 acc += s
-        object.__setattr__(self, "_assembled", Spectrum(self.grid, acc))
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.intervals)
+        object.__setattr__(self, "_assembled", Spectrum(grid, acc))
 
     def assembled_symbol(self) -> Spectrum:
         """Single multiplier: sum of coefficient indicators or of symbols.
@@ -299,19 +302,12 @@ def delta_k(
         raise ValueError(f"expected {len(tiles)} symbols, one per occupied tile")
     acc = np.zeros(grid.samples, dtype=np.complex128)
     for tile, raw in zip(tiles, symbols):
-        arr = np.asarray(raw, dtype=np.complex128)
-        if arr.shape != (grid.samples,):
-            raise ValueError("symbols must live on the full lattice")
         lo_i, hi_i = tile.index_range()
         span = hi_i - lo_i
-        nz = np.flatnonzero(arr)
-        if nz.size:
-            center = grid.slot(0.5 * (lo_i + hi_i))
-            if (nz[0] < center - 1.5 * span) or (nz[-1] >= center + 1.5 * span):
-                raise SymbolSupportError(
-                    "tile symbol is supported outside the dilated tile"
-                )
-        acc += arr
+        center = grid.slot(0.5 * (lo_i + hi_i))
+        acc += _lattice_symbol(
+            grid, raw, center - 1.5 * span, center + 1.5 * span, "the dilated tile"
+        )
     return apply_multiplier(f, Spectrum(grid, acc))
 
 
@@ -355,9 +351,7 @@ def corollary_constants(
         assembled = np.zeros(m_samp, dtype=np.complex128)
         width = 2.0 ** (-k)
         for tile, raw in zip(tiles, arrs):
-            arr = np.asarray(raw, dtype=np.complex128)
-            if arr.shape != (m_samp,):
-                raise ValueError("symbols must live on the full lattice")
+            arr = _lattice_symbol(grid, raw)
             assembled += arr
             lo, hi = tile.index_range()
             seg = arr[grid.slot(lo) : grid.slot(hi)]

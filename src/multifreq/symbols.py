@@ -255,13 +255,6 @@ class WhitneySystem:
     per_scale_max: int
     scale_counts: tuple[tuple[int, int], ...]
 
-    @property
-    def omega_cells(self) -> int:
-        return self.omega_hi - self.omega_lo
-
-    def flagged_cells(self) -> int:
-        return sum(p.cells for p in self.pieces if p.flagged)
-
     def indicator(self) -> np.ndarray:
         n = self.grid.freq_indices()
         return ((n >= self.omega_lo) & (n < self.omega_hi)).astype(np.float64)
@@ -403,13 +396,6 @@ class WindowSystem:
             lo = self.grid.slot(w.phi_lo)
             total[lo : lo + w.phi_values.shape[0]] += w.phi_values
         return total
-
-    def phi_symbol(self, i: int) -> Spectrum:
-        vals = np.zeros(self.grid.samples, dtype=np.complex128)
-        w = self.windows[i]
-        lo = self.grid.slot(w.phi_lo)
-        vals[lo : lo + w.phi_values.shape[0]] = w.phi_values
-        return Spectrum(self.grid, vals)
 
 
 def window_system(skeleton: WhitneySystem) -> WindowSystem:

@@ -282,3 +282,17 @@ def test_rough_suite_memory_is_one_block_buffer(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_symbol_spec_peaks_at_its_live_size():
+    # the spec keeps the member arrays it is given, so sampling one holds
+    # each member once; copying them peaked near twice the live size
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        spec = mx.sample_rough_spec(TorusGrid(), 16, rng, with_symbols=True)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spec.symbols) == 16
+    assert peak <= 1.1 * live

@@ -386,8 +386,7 @@ def test_profile_two_points():
     assert np.array_equal(prof.breakpoints, [4.0])
     assert prof.count(1.0) == 2
     assert prof.count(2.0) == 1  # one ball suffices at the enclosing radius
-    assert prof.effective_count(2.0) == 0
-    assert prof.effective_count(1.99) == 2
+    assert prof.count(1.99) == 2
 
 
 def test_profile_counts_nonincreasing(rng):
@@ -406,7 +405,6 @@ def test_profile_of_identical_points():
     assert prof.rho == 0.0
     assert prof.breakpoints.size == 0
     assert prof.count(0.5) == 1
-    assert prof.effective_count(0.5) == 0
 
 
 def test_profile_csv(tmp_path, rng):
@@ -528,7 +526,8 @@ def test_level_count_bounded_by_variation(rng):
         for q in (2.5, 4.0):
             v = variation_norm(seq, q, mode="homogeneous")
             for b in prof.breakpoints:
-                m = prof.effective_count(float(b))
+                # no ball is needed at or above the enclosing radius
+                m = prof.count(float(b)) if b < prof.rho else 0
                 assert b * m ** (1.0 / q) <= 2 * v + 1e-12
 
 

@@ -62,7 +62,6 @@ def test_grid_defaults(default_grid):
     assert default_grid.samples == 2 ** 15
     assert default_grid.h == 128 / 2 ** 15
     assert default_grid.freq_step == 1 / 128
-    assert default_grid.nyquist == 2 ** 15 / 256
 
 
 def test_grid_validation():
@@ -90,7 +89,7 @@ def test_index_of_freq(small_grid):
     with pytest.raises(ValueError):
         small_grid.index_of_freq(0.3)  # off the lattice
     with pytest.raises(ValueError):
-        small_grid.index_of_freq(small_grid.nyquist)  # band edge excluded
+        small_grid.index_of_freq(4.0)  # band edge samples / (2 * period) excluded
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def test_frequency_set_orders_and_rejects_duplicates(default_grid):
 
 def test_frequency_set_band_and_lattice_checks(default_grid):
     with pytest.raises(ValueError):
-        FrequencySet.from_frequencies(default_grid, [default_grid.nyquist])
+        FrequencySet.from_frequencies(default_grid, [2 ** 15 / 256])  # band edge
     with pytest.raises(ValueError):
         FrequencySet.from_frequencies(default_grid, [0.33])
     with pytest.raises(ValueError):
@@ -367,6 +366,22 @@ def test_signal_csv_roundtrip(small_grid, rng, tmp_path):
 def test_signal_csv_header_check(small_grid, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n")
+    with pytest.raises(ValueError):
+        signal_from_csv(small_grid, path)
+
+
+@pytest.mark.parametrize("index", [0, -1, 64])
+def test_signal_csv_index_check(small_grid, rng, tmp_path, index):
+    # row 1 names a repeated or out-of-range index, so cell 1 has no row
+    path = tmp_path / "sig.csv"
+    signal_to_csv(random_signal(small_grid, rng), path)
+    lines = path.read_text().splitlines()
+    lines[2] = f"{index}," + lines[2].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        signal_from_csv(small_grid, path)
+    lines[2] = "1," + lines[2].split(",", 1)[1]
+    path.write_text("\n".join(lines[:-1]) + "\n")  # a row short
     with pytest.raises(ValueError):
         signal_from_csv(small_grid, path)
 

@@ -116,6 +116,10 @@ def test_spec_validation(default_grid):
     leak[g.samples // 2 + 500] = 1.0
     with pytest.raises(SymbolSupportError):
         RoughMultiplierSpec(g, ((0, 100),), symbols=(leak,))
+    # coefficient count is checked before the sort reorders them
+    for coef in (np.ones(3), np.ones(1), np.array([1.0, np.nan]), np.array([np.inf, 0.5])):
+        with pytest.raises(ValueError):
+            RoughMultiplierSpec(g, ((200, 300), (-400, -300)), coefficients=coef)
 
 
 def test_spec_sorts_and_records_norms(default_grid):
@@ -128,11 +132,15 @@ def test_spec_sorts_and_records_norms(default_grid):
     spec = RoughMultiplierSpec(g, ((200, 300), (-400, -300)), symbols=(s1, s2))
     assert spec.intervals == ((-400, -300), (200, 300))
     assert np.array_equal(spec.symbols[0], s2)
+    # members are the caller's arrays, frozen in place rather than copied
+    for member, source in zip(spec.symbols, (s2, s1)):
+        assert np.shares_memory(member, source)
+        assert not member.flags.writeable
     # interior indicator has r-variation 1 + 2^(1/r)
     norms = [symbol_vr_norm(s, spec.r) for s in spec.symbols]
     assert norms[1] == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-12)
     assert norms[0] == pytest.approx(0.5 * (1.0 + np.sqrt(2.0)), rel=1e-12)
-    assert spec.n_intervals == 2
+    assert len(spec.intervals) == 2
 
 
 def test_spec_coefficient_order_follows_sort(default_grid):

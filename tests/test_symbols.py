@@ -374,8 +374,9 @@ def test_whitney_full_band_2_14():
     assert system.overlap_count == 25
     assert system.overlap_count == overlap_oracle(system)
     assert system.per_scale_max == 200
-    assert system.flagged_cells() == 100
-    assert system.flagged_cells() / system.omega_cells < 0.01
+    flagged_cells = sum(p.cells for p in system.pieces if p.flagged)
+    assert flagged_cells == 100
+    assert flagged_cells / (system.omega_hi - system.omega_lo) < 0.01
 
 
 def test_whitney_interior_interval(default_grid):
@@ -523,6 +524,24 @@ def test_window_curvature_corpus(default_grid):
     assert worst <= 500.0
 
 
+WHITNEY_GRID = TorusGrid(period=8, samples=2**13)
+
+
+@st.composite
+def whitney_interval(draw):
+    # every interval of at least 4096 cells, the least whitney_decompose takes
+    half = WHITNEY_GRID.samples // 2
+    lo = draw(st.integers(-half, half - 4096))
+    return lo, draw(st.integers(lo + 4096, half))
+
+
+@settings(max_examples=25, deadline=None)
+@given(whitney_interval())
+def test_partition_of_unity_exact_on_any_interval(bounds):
+    ws = window_system(whitney_decompose(WHITNEY_GRID, *bounds))
+    assert np.array_equal(ws.sum_phi(), ws.skeleton.indicator())
+
+
 def test_mollifier_diagnostics(big_window_system):
     ws = big_window_system
     assert len(ws.mollifier_diags) == len(ws.skeleton.scale_counts)
@@ -564,6 +583,27 @@ def test_windowed_identity_20_signals(default_grid):
         f = band_limited_signal(default_grid, rng, omega)
         we = windowed_expand(f, omega)
         assert we.rel_error <= 1e-8
+
+
+EXPAND_GRID = TorusGrid(period=16, samples=1024)
+
+
+@st.composite
+def expand_interval(draw):
+    # every scale whose translate spacing is a whole number of cells
+    grid = EXPAND_GRID
+    k = draw(st.integers(-4, grid.finest_scale))
+    count = grid.samples // 2 // grid.tile_cells(k)
+    return DyadicFreqInterval(grid, k, draw(st.integers(-count, count - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(expand_interval(), st.integers(0, 2**32 - 1))
+def test_windowed_identity_on_any_interval(omega, seed):
+    rng = np.random.default_rng(seed)
+    m = EXPAND_GRID.samples
+    f = Signal(EXPAND_GRID, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    assert windowed_expand(f, omega).rel_error <= 1e-10
 
 
 def test_windowed_coefficients_match_pairing(default_grid):
