@@ -4,12 +4,13 @@ Every pass writes three files (``<exp>.csv``, ``<exp>_fit.csv`` and
 ``manifest.txt``) and gets one line per file, so two trees whose lines
 agree wrote the same bytes, and a change to one file shows as that
 file's lines alone in a diff.  For ``decompose`` it instead replays the
-layered ``rvar_M`` call of each pass and prints one line per
-member symbol, the digest of its ``layered_to_csv`` text
-(``layers_<i>.csv``), and one for the bytes of the ``rvar_M`` output
-(``rvar_M_layered``).  The suites, their configs, the decompose inputs
-and the pass seeds come from ``perfbench/workloads.py``, which is only
-read.  ``--suites`` defaults to all four workloads.  The library is
+layered ``rvar_M`` call of each pass and prints two lines per member
+symbol, the digest of its ``layered_to_csv`` text (``layers_<i>.csv``)
+and that of its remainder's bytes with ``repr(source_norm)`` and
+``j_max`` (``remainder_<i>``), and one line for the bytes of the
+``rvar_M`` output (``rvar_M_layered``).  The suites, their configs, the
+decompose inputs and the pass seeds come from ``perfbench/workloads.py``,
+which is only read.  ``--suites`` defaults to all four workloads.  The library is
 imported from ``PYTHONPATH``, so the same script checks any tree:
 
     PYTHONPATH=src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > new.txt
@@ -54,8 +55,9 @@ def pass_digests(suite, pass_seed: int, workers: int) -> list[tuple[str, str]]:
 
 
 def layered_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]:
-    """(name, sha256) for each member's layer CSV and for the layered
-    ``rvar_M`` output of one decompose pass; ``workers`` is unused."""
+    """(name, sha256) for each member's layer CSV and remainder, and for
+    the layered ``rvar_M`` output of one decompose pass; ``workers`` is
+    unused."""
     mf = workloads.multifreq
     grid, rng, f, *_ = work.inputs(pass_seed)
     spec = workloads.mx.sample_rough_spec(grid, work.SPEC_N, rng, with_symbols=True)
@@ -67,6 +69,9 @@ def layered_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]
             mf.layered_to_csv(layered, path)
             with open(path, "rb") as fh:
                 digests.append((f"layers_{i}.csv", hashlib.sha256(fh.read()).hexdigest()))
+            rest = hashlib.sha256(layered.remainder.values.tobytes())
+            rest.update(f" {layered.source_norm!r} {layered.j_max}".encode())
+            digests.append((f"remainder_{i}", rest.hexdigest()))
     values = mf.rvar_M(f, spec, "layered", tol=work.LAYER_TOL).values
     digests.append(("rvar_M_layered", hashlib.sha256(values.tobytes()).hexdigest()))
     return digests

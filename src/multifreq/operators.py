@@ -70,16 +70,19 @@ def default_scale_range(grid: TorusGrid) -> ScaleRange:
 
 
 def _lattice_symbol(grid: TorusGrid, raw, lo=None, hi=None, where="") -> np.ndarray:
-    """``raw`` as a complex full-lattice array.  Given array positions
-    ``lo`` and ``hi``, every nonzero cell must also sit in [lo, hi), the
-    span that ``where`` names in the error."""
+    """``raw`` as a complex full-lattice array of finite values.  Given
+    array positions ``lo`` and ``hi``, every nonzero cell must also sit
+    in [lo, hi), the span that ``where`` names in the error."""
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.shape != (grid.samples,):
         raise ValueError("symbols must live on the full lattice")
-    if lo is not None:
-        nz = np.flatnonzero(arr)
-        if nz.size and (nz[0] < lo or nz[-1] >= hi):
-            raise SymbolSupportError(f"symbol is supported outside {where}")
+    nz = np.flatnonzero(arr)
+    # NaN and inf are nonzero, so they sit between the first and the last
+    # nonzero cell; a view of that span is checked without copying it
+    if nz.size and not np.isfinite(arr[nz[0] : nz[-1] + 1]).all():
+        raise ValueError("symbol values must be finite")
+    if lo is not None and nz.size and (nz[0] < lo or nz[-1] >= hi):
+        raise SymbolSupportError(f"symbol is supported outside {where}")
     return arr
 
 
@@ -265,17 +268,17 @@ def rvar_M(
     if path != "layered":
         raise ValueError(f"unknown path {path!r}")
     grid = spec.grid
-    slot = grid.slot
     acc = np.zeros(grid.samples, dtype=np.complex128)
     for sym in spec.symbols:
         layered = vr_layer_decompose(Spectrum(grid, sym), spec.r, tol)
         # linearity: accumulating every layer of every member into one
-        # multiplier equals applying the layers one at a time; the pieces
-        # of a layer are disjoint, so each cell still takes one addition
-        # per layer, in layer order
-        for layer in layered.layers:
-            for piece in layer:
-                acc[slot(piece.lo) : slot(piece.hi)] += piece.coeff
+        # multiplier equals applying the layers one at a time.  Each cell
+        # takes one addition per layer, in layer order; a cell between
+        # two pieces adds +0.0, which changes nothing, since a sum that
+        # starts at +0.0 never reads -0.0
+        for j in range(len(layered.layers)):
+            start, span = layered.layer_span(j)
+            acc[start : start + span.shape[0]] += span
     return apply_multiplier(f, Spectrum(grid, acc))
 
 

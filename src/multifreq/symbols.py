@@ -86,12 +86,28 @@ class LayeredSymbol:
     layers: tuple[tuple[LayerPiece, ...], ...]
     remainder: Spectrum
 
+    def layer_span(self, j: int) -> tuple[int, np.ndarray]:
+        """Layer j as one dense run of cells: the array position of the
+        first piece's lo, and the values from there to the last piece's
+        hi, with +0.0 between pieces.  The pieces are taken in ascending
+        order, as ``vr_layer_decompose`` builds them; an empty layer is
+        an empty run."""
+        layer = self.layers[j]
+        if not layer:
+            return 0, np.zeros(0, dtype=np.complex128)
+        bounds = np.array([(p.lo, p.hi) for p in layer], dtype=np.int64).ravel()
+        # piece, gap, piece, ..., piece: each gap ends where the next piece starts
+        values = np.zeros(2 * len(layer) - 1, dtype=np.complex128)
+        values[::2] = [p.coeff for p in layer]
+        return self.grid.slot(layer[0].lo), np.repeat(values, np.diff(bounds))
+
     def layer_values(self, j: int) -> np.ndarray:
         """Tabulate layer j on the full frequency lattice."""
-        slot = self.grid.slot
         out = np.zeros(self.grid.samples, dtype=np.complex128)
-        for piece in self.layers[j]:
-            out[slot(piece.lo) : slot(piece.hi)] += piece.coeff
+        start, span = self.layer_span(j)
+        # added, not assigned, so that each cell reads 0.0 + coeff, signed
+        # zeros included
+        out[start : start + span.shape[0]] += span
         return out
 
     def reconstruct(self) -> Spectrum:
@@ -130,21 +146,59 @@ def _next_stop(vals: np.ndarray, pos: int, eps: float) -> int | None:
         lo = hi
 
 
+# how many run starts after each run start the drift table covers
+_DRIFT_WIDTH = 32
+
+
+def _run_starts(vals: np.ndarray) -> np.ndarray:
+    """Index of the first cell of each run of equal values.  No other
+    cell can be a stop: it is exactly as far from any value as the cell
+    before it."""
+    return np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+
+
+def _drift_table(c: np.ndarray) -> np.ndarray:
+    """(len(c), _DRIFT_WIDTH) table of |c[p + t] - c[p]| for t = 1, 2, ...,
+    NaN past the end, which no threshold test counts as a drift.  It
+    holds the bits ``_next_stop`` computes for the same pairs."""
+    padded = np.concatenate((c, np.full(_DRIFT_WIDTH, np.nan, dtype=c.dtype)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, _DRIFT_WIDTH + 1)
+    return np.abs(windows[:, 1:] - windows[:, :1])
+
+
+def _table_stops(c: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
+    """The stops of ``c`` at threshold eps, from its drift table.
+
+    Each row's first drift over eps is that position's next stop, and
+    the stops follow those pointers from 0.  A row with no drift over
+    eps falls back to ``_next_stop``, which searches the whole tail.
+    """
+    over = table > eps
+    rows = np.arange(c.shape[0])
+    nexts = np.where(over.any(axis=1), rows + 1 + over.argmax(axis=1), -1).tolist()
+    stops = [0]
+    while stops[-1] + 1 < c.shape[0]:
+        nxt = nexts[stops[-1]]
+        if nxt < 0:
+            nxt = _next_stop(c, stops[-1], eps)
+            if nxt is None:
+                break
+        stops.append(nxt)
+    return np.asarray(stops, dtype=np.int64)
+
+
 def _stop_positions(vals: np.ndarray, eps: float) -> np.ndarray:
     """Left-to-right stopping: restart whenever the value drifts more
     than eps from the value at the previous stop.
 
-    A level costs O(stops * window + n), where window is the widest
-    window a stop search reached, rather than the O(stops * n) of
-    scanning the whole tail from every stop.
+    The scan runs on the first cell of each run of equal values, so a
+    level costs about O(runs * _DRIFT_WIDTH) plus the fallback's
+    windows, rather than the O(stops * n) of scanning the whole tail
+    from every stop.
     """
-    stops = [0]
-    while stops[-1] + 1 < vals.shape[0]:
-        nxt = _next_stop(vals, stops[-1], eps)
-        if nxt is None:
-            break
-        stops.append(nxt)
-    return np.asarray(stops, dtype=np.int64)
+    first = _run_starts(vals)
+    c = vals[first]
+    return first[_table_stops(c, _drift_table(c), eps)]
 
 
 def _step_approximant(vals: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -159,6 +213,10 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
     of consecutive approximants. Scanning stops at the first level whose
     threshold is at most tol * v. A symbol whose approximant becomes
     exact early yields empty trailing layers and a zero remainder.
+
+    Every level works on the first cell of each run of equal values,
+    the only cells a scan can stop at, and the remainder is expanded to
+    the full lattice once at the end.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -169,6 +227,8 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
     half = m_samp // 2
     vals = g.values
     v = variation_norm(vals, r, mode="nonhomogeneous")
+    if not math.isfinite(v):
+        raise ValueError(f"symbol r-variation is {v!r}; every value must be finite")
     if v == 0.0:
         zero = Spectrum(grid, np.zeros(m_samp, dtype=np.complex128))
         layer0 = (LayerPiece(-half, half, 0j),)
@@ -180,30 +240,31 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
     while 2.0 ** (-j_max / r) > tol:
         j_max += 1
 
+    # run k covers cells [bounds[k], bounds[k + 1]) and holds the value c[k]
+    first = _run_starts(vals)
+    c = vals[first]
+    bounds = np.append(first, m_samp) - half
+    table = _drift_table(c)
     layers: list[tuple[LayerPiece, ...]] = []
     prev_stops = np.array([0], dtype=np.int64)
-    prev_approx = np.zeros(m_samp, dtype=np.complex128)
-    converged = False
-    approx = prev_approx
+    prev_approx = np.zeros(c.shape[0], dtype=np.complex128)
     for j in range(j_max + 1):
-        if converged:
-            layers.append(())
-            continue
         eps = 2.0 ** (-j / r) * v
-        stops = _stop_positions(vals, eps)
-        approx = _step_approximant(vals, stops)
+        stops = _table_stops(c, table, eps)
+        approx = _step_approximant(c, stops)
         breaks = np.union1d(prev_stops, stops)
         d = approx[breaks] - prev_approx[breaks]
         keep = np.flatnonzero(d != 0)
-        los = (breaks[keep] - half).tolist()
-        his = (np.append(breaks[1:], m_samp)[keep] - half).tolist()
+        los = bounds[breaks[keep]].tolist()
+        his = bounds[np.append(breaks[1:], c.shape[0])[keep]].tolist()
         layers.append(tuple(map(LayerPiece, los, his, d[keep].tolist())))
         prev_stops = stops
         prev_approx = approx
-        if np.array_equal(approx, vals):
-            converged = True
+        if np.array_equal(approx, c):
+            layers.extend(() for _ in range(j_max - j))
+            break
 
-    remainder = Spectrum(grid, vals - prev_approx)
+    remainder = Spectrum(grid, vals - np.repeat(prev_approx, np.diff(bounds)))
     return LayeredSymbol(
         grid, float(r), float(tol), float(v), int(j_max), tuple(layers), remainder
     )

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifreq.bumps import bump_profile, dk_tiles, build_dk_symbol
 from multifreq.errors import GridMismatchError, ResolutionError, SymbolSupportError
@@ -120,6 +121,13 @@ def test_spec_validation(default_grid):
     for coef in (np.ones(3), np.ones(1), np.array([1.0, np.nan]), np.array([np.inf, 0.5])):
         with pytest.raises(ValueError):
             RoughMultiplierSpec(g, ((200, 300), (-400, -300)), coefficients=coef)
+    # a non-finite member cell is refused, inside its interval or not
+    for bad, cell in ((np.nan, 5), (np.inf, 5), (complex(0.0, -np.inf), 5), (np.nan, 500)):
+        sym = np.zeros(g.samples, dtype=np.complex128)
+        sym[g.slot(0) : g.slot(10)] = 0.5
+        sym[g.slot(cell)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RoughMultiplierSpec(g, ((0, 10),), symbols=(sym,))
 
 
 def test_spec_sorts_and_records_norms(default_grid):
@@ -491,6 +499,53 @@ def test_rvar_m_layered_applies_every_layer(rng):
         want += s - vr_layer_decompose(Spectrum(grid, s), spec.r, 1e-2).remainder.values
     got = rvar_M(f, spec, "layered", tol=1e-2)
     assert (got - apply_multiplier(f, Spectrum(grid, want))).norm2() <= 1e-12 * f.norm2()
+
+
+SPILL_GRID = TorusGrid(period=16, samples=1024)
+
+
+@st.composite
+def spilling_spec(draw):
+    """Specs of one to four members: domes cut off inside or at their
+    interval's edge, and random walks.  A member that ends on a value
+    within a level's threshold of zero gets a piece running past its
+    interval, over its neighbours' cells, to the end of the band."""
+    grid = SPILL_GRID
+    half = grid.samples // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = sorted(draw(st.sets(st.integers(-half, half), min_size=2, max_size=8)))
+    ivs = [(a, b) for a, b in zip(cuts[::2], cuts[1::2])]
+    syms = []
+    for lo, hi in ivs:
+        sym = np.zeros(grid.samples, dtype=np.complex128)
+        w = hi - lo
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        if draw(st.booleans()):
+            cells = np.arange(lo, hi) - 0.5 * (lo + hi)
+            reach = draw(st.sampled_from([0.3, 0.499, 0.7, 2.0]))
+            vals = coeff * plateau_profile(cells, 0.2 * w, reach * w)
+        else:
+            steps = rng.standard_normal(w) + 1j * rng.standard_normal(w)
+            vals = coeff + draw(st.sampled_from([1e-3, 0.1])) * np.cumsum(steps)
+        sym[grid.slot(lo) : grid.slot(hi)] = vals
+        syms.append(sym)
+    r = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    return RoughMultiplierSpec(grid, tuple(ivs), symbols=tuple(syms), r=r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spilling_spec(), st.sampled_from([1e-1, 1e-2, 1e-3]), st.integers(0, 2**32 - 1))
+def test_rvar_m_layered_equals_a_per_piece_scatter(spec, tol, seed):
+    grid = spec.grid
+    rng = np.random.default_rng(seed)
+    f = Signal(grid, rng.standard_normal(grid.samples) + 1j * rng.standard_normal(grid.samples))
+    acc = np.zeros(grid.samples, dtype=np.complex128)
+    for sym in spec.symbols:
+        for layer in vr_layer_decompose(Spectrum(grid, sym), spec.r, tol).layers:
+            for p in layer:
+                acc[grid.slot(p.lo) : grid.slot(p.hi)] += p.coeff
+    want = apply_multiplier(f, Spectrum(grid, acc))
+    assert rvar_M(f, spec, "layered", tol=tol).values.tobytes() == want.values.tobytes()
 
 
 def test_rvar_m_single_bump_cross_path(default_grid, rng):

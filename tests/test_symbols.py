@@ -1,13 +1,16 @@
 """Layer decompositions, Whitney window systems, windowed expansions."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multifreq import symbols
 from multifreq.bumps import bump_profile, plateau_profile
 from multifreq.errors import ConstructionError, GridMismatchError, ResolutionError
+from multifreq.fluctuation import variation_norm
 from multifreq.grid import (
     DyadicFreqInterval,
     Signal,
@@ -69,6 +72,43 @@ def plain_stop_positions(vals, eps):
         pos = pos + 1 + int(np.argmax(over))
         stops.append(pos)
     return np.asarray(stops, dtype=np.int64)
+
+
+def plain_layer_decompose(vals, r, tol):
+    """The layer decomposition as first written: every level rescans the
+    full lattice with ``plain_stop_positions`` and differences full-lattice
+    approximants.  Returns (source_norm, j_max, layers of (lo, hi, coeff)
+    triples, remainder values)."""
+    n = vals.shape[0]
+    half = n // 2
+    v = variation_norm(vals, r, mode="nonhomogeneous")
+    if v == 0.0:
+        return v, 0, [[(-half, half, 0j)]], np.zeros(n, dtype=np.complex128)
+    j_max = max(0, math.ceil(-r * math.log2(tol)))
+    while j_max > 0 and 2.0 ** (-(j_max - 1) / r) <= tol:
+        j_max -= 1
+    while 2.0 ** (-j_max / r) > tol:
+        j_max += 1
+    layers = []
+    prev_stops = np.array([0], dtype=np.int64)
+    prev_approx = np.zeros(n, dtype=np.complex128)
+    converged = False
+    for j in range(j_max + 1):
+        if converged:
+            layers.append([])
+            continue
+        stops = plain_stop_positions(vals, 2.0 ** (-j / r) * v)
+        approx = np.repeat(vals[stops], np.diff(stops, append=n))
+        breaks = np.union1d(prev_stops, stops)
+        layer = []
+        for a, b in zip(breaks, np.append(breaks[1:], n)):
+            d = approx[a] - prev_approx[a]
+            if d != 0:
+                layer.append((int(a) - half, int(b) - half, d))
+        layers.append(layer)
+        prev_stops, prev_approx = stops, approx
+        converged = np.array_equal(approx, vals)
+    return v, j_max, layers, vals - prev_approx
 
 
 def random_step_symbol(grid, rng, n_jumps, monotone=False):
@@ -260,12 +300,15 @@ WINDOW_EDGES = [63, 64, 65, 255, 256, 257, 1023, 1024, 1025, 4095, 4096, 4097]
 
 @st.composite
 def stop_scan_input(draw):
-    """A complex array of constant runs, short noisy runs and a zero
-    tail, up to 20000 cells, with a seed for the noise."""
+    """A complex array of constant runs, short noisy runs, slow ramps and
+    a zero tail, up to 20000 cells, with a seed for the noise.  Inside a
+    ramp of unit rise the next stop can lie hundreds of run starts ahead,
+    past the drift table, so the scan takes its fallback."""
     value = st.sampled_from([0.0, 1.0, -1.0, 0.5j, 1e-300, 0.25 + 0.25j, 2.0 - 1.5j])
     run = st.one_of(
         st.tuples(st.just("const"), st.integers(1, 6000) | st.sampled_from(WINDOW_EDGES), value),
         st.tuples(st.just("noise"), st.integers(1, 200), value),
+        st.tuples(st.just("ramp"), st.integers(2, 6000) | st.sampled_from(WINDOW_EDGES), value),
     )
     runs = draw(st.lists(run, min_size=1, max_size=10))
     tail = draw(st.integers(0, 20000) | st.sampled_from(WINDOW_EDGES))
@@ -274,6 +317,8 @@ def stop_scan_input(draw):
     for kind, length, v in runs:
         if kind == "const":
             parts.append(np.full(length, v, dtype=np.complex128))
+        elif kind == "ramp":
+            parts.append(v + np.linspace(0.0, 1.0, length, dtype=np.complex128))
         else:
             parts.append(v + rng.standard_normal(length) + 1j * rng.standard_normal(length))
     parts.append(np.zeros(tail, dtype=np.complex128))
@@ -297,6 +342,25 @@ def test_galloping_stop_scan_equals_the_plain_scan(vals, kind, frac):
     got = _stop_positions(vals, eps)
     assert got.dtype == np.int64
     assert np.array_equal(got, plain_stop_positions(vals, eps))
+
+
+def test_stop_scan_falls_back_past_the_drift_table(monkeypatch):
+    # on a ramp of 1000 distinct values at threshold 0.3 each stop lies
+    # about 300 run starts ahead, so every stop comes from the fallback
+    found = []
+
+    def recording(vals, pos, eps):
+        nxt = real(vals, pos, eps)
+        found.append((pos, nxt))
+        return nxt
+
+    real = symbols._next_stop
+    monkeypatch.setattr(symbols, "_next_stop", recording)
+    vals = np.linspace(0.0, 1.0, 1000).astype(np.complex128)
+    stops = _stop_positions(vals, 0.3)
+    assert np.array_equal(stops, plain_stop_positions(vals, 0.3))
+    assert stops.tolist() == [0, 300, 600, 900]
+    assert found == [(0, 300), (300, 600), (600, 900), (900, None)]
 
 
 def dome_symbol(grid, lo, hi, coeff):
@@ -332,6 +396,64 @@ def test_layers_reconstruct_the_source(vals, r, tol):
     assert_layer_contract(ls, vals)
 
 
+ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+@st.composite
+def layer_source(draw):
+    """A full-lattice symbol of long constant runs, random-walk segments
+    and cells of signed zeros, some with dome symbols written over it."""
+    grid = LAYER_GRID
+    n = grid.samples
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    value = st.sampled_from([1.0, -0.5, 0.25j, 1.5 - 2.0j, *ZEROS])
+    segment = st.one_of(
+        st.tuples(st.just("const"), st.integers(1, 3000), value),
+        st.tuples(st.just("walk"), st.integers(1, 300), st.sampled_from([1e-3, 0.05, 1.0])),
+        st.tuples(st.just("zeros"), st.integers(1, 40), st.none()),
+    )
+    parts = []
+    for kind, length, arg in draw(st.lists(segment, min_size=1, max_size=8)):
+        if kind == "const":
+            parts.append(np.full(length, arg, dtype=np.complex128))
+        elif kind == "walk":
+            steps = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            parts.append(complex(rng.standard_normal()) + arg * np.cumsum(steps))
+        else:
+            parts.append(np.array(ZEROS)[rng.integers(0, 4, length)])
+    parts.append(np.full(n, draw(st.sampled_from(ZEROS))))
+    vals = np.concatenate(parts)[:n]
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(st.integers(-2048, 2048 - 8))
+        hi = draw(st.integers(lo + 8, min(lo + 2048, 2048)))
+        dome = dome_symbol(grid, lo, hi, complex(rng.standard_normal(), rng.standard_normal()))
+        vals = np.where(dome != 0, dome, vals)
+    return vals
+
+
+def coeff_bits(z):
+    return np.complex128(z).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(layer_source(), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.sampled_from([1e-1, 1e-2, 1e-3]))
+def test_layers_equal_the_plain_decomposition_bit_for_bit(vals, r, tol):
+    ls = vr_layer_decompose(Spectrum(LAYER_GRID, vals), r, tol)
+    v, j_max, layers, remainder = plain_layer_decompose(vals, r, tol)
+    assert repr(ls.source_norm) == repr(v)
+    assert ls.j_max == j_max
+    got = [[(p.lo, p.hi, coeff_bits(p.coeff)) for p in layer] for layer in ls.layers]
+    assert got == [[(lo, hi, coeff_bits(d)) for lo, hi, d in layer] for layer in layers]
+    assert ls.remainder.values.tobytes() == remainder.tobytes()
+    # the layers tabulate, signed zeros included, as a piece-by-piece
+    # scatter into zeros does
+    for j, layer in enumerate(ls.layers):
+        want = np.zeros(LAYER_GRID.samples, dtype=np.complex128)
+        for p in layer:
+            want[LAYER_GRID.slot(p.lo) : LAYER_GRID.slot(p.hi)] += p.coeff
+        assert ls.layer_values(j).tobytes() == want.tobytes()
+
+
 def test_layers_validation(layer_grid):
     g = Spectrum(layer_grid, np.zeros(layer_grid.samples, dtype=np.complex128))
     with pytest.raises(ValueError):
@@ -340,6 +462,17 @@ def test_layers_validation(layer_grid):
         vr_layer_decompose(g, 2.0, tol=0.0)
     with pytest.raises(ValueError):
         vr_layer_decompose(g, 2.0, tol=1.0)
+    # a symbol whose r-variation is not finite has no layers
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        vals = np.zeros(layer_grid.samples, dtype=np.complex128)
+        vals[100:110] = 1.0
+        vals[105] = bad
+        with pytest.raises(ValueError, match="finite"):
+            vr_layer_decompose(Spectrum(layer_grid, vals), 2.0)
+    huge = np.zeros(layer_grid.samples, dtype=np.complex128)
+    huge[100], huge[200] = 1e300, -1e300
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        vr_layer_decompose(Spectrum(layer_grid, huge), 2.0)
 
 
 def test_layered_csv(layer_grid, tmp_path):
