@@ -8,7 +8,12 @@ layered ``rvar_M`` call of each pass and prints two lines per member
 symbol, the digest of its ``layered_to_csv`` text (``layers_<i>.csv``)
 and that of its remainder's bytes with ``repr(source_norm)`` and
 ``j_max`` (``remainder_<i>``), and one line for the bytes of the
-``rvar_M`` output (``rvar_M_layered``).  The suites, their configs, the
+``rvar_M`` output (``rvar_M_layered``).  It also replays the pass's
+``whitney_decompose`` + ``window_system`` call and prints one line
+(``window_system``) for every member's ``phi_lo``, ``window_lo``,
+``envelope``, ``slope`` and ``curvature`` reprs and its ``phi_values`` and
+``window_values`` bytes, in piece order, then ``slope_max``,
+``curvature_max`` and ``mollifier_diags``.  The suites, their configs, the
 decompose inputs and the pass seeds come from ``perfbench/workloads.py``,
 which is only read.  ``--suites`` defaults to all four workloads.  The library is
 imported from ``PYTHONPATH``, so the same script checks any tree:
@@ -34,7 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 SUITES = [name for name, w in workloads.WORKLOADS.items() if isinstance(w, workloads.Suite)]
-LAYERED = [name for name, w in workloads.WORKLOADS.items() if isinstance(w, workloads.Decompose)]
+DECOMPOSE = [name for name, w in workloads.WORKLOADS.items() if isinstance(w, workloads.Decompose)]
 
 
 def _seeds(text: str) -> list[int]:
@@ -54,12 +59,12 @@ def pass_digests(suite, pass_seed: int, workers: int) -> list[tuple[str, str]]:
         return digests
 
 
-def layered_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]:
-    """(name, sha256) for each member's layer CSV and remainder, and for
-    the layered ``rvar_M`` output of one decompose pass; ``workers`` is
-    unused."""
+def decompose_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]:
+    """(name, sha256) for each member's layer CSV and remainder, for the
+    layered ``rvar_M`` output and for the window system of one decompose
+    pass; ``workers`` is unused."""
     mf = workloads.multifreq
-    grid, rng, f, *_ = work.inputs(pass_seed)
+    grid, rng, f, _, _, shift, _ = work.inputs(pass_seed)
     spec = workloads.mx.sample_rough_spec(grid, work.SPEC_N, rng, with_symbols=True)
     digests = []
     with tempfile.TemporaryDirectory() as out:
@@ -74,12 +79,25 @@ def layered_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]
             digests.append((f"remainder_{i}", rest.hexdigest()))
     values = mf.rvar_M(f, spec, "layered", tol=work.LAYER_TOL).values
     digests.append(("rvar_M_layered", hashlib.sha256(values.tobytes()).hexdigest()))
+    skeleton = mf.whitney_decompose(grid, -work.OMEGA_HALF + shift, work.OMEGA_HALF + shift)
+    system = mf.window_system(skeleton)
+    windows = hashlib.sha256()
+    for w in system.windows:
+        fields = (w.phi_lo, w.window_lo, w.envelope, w.slope, w.curvature)
+        windows.update(" ".join(map(repr, fields)).encode())
+        windows.update(w.phi_values.tobytes())
+        windows.update(w.window_values.tobytes())
+    windows.update(
+        f"{system.slope_max!r} {system.curvature_max!r} {system.mollifier_diags!r}".encode()
+    )
+    digests.append(("window_system", windows.hexdigest()))
     return digests
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suites", nargs="+", choices=SUITES + LAYERED, default=SUITES + LAYERED)
+    names = SUITES + DECOMPOSE
+    parser.add_argument("--suites", nargs="+", choices=names, default=names)
     parser.add_argument("--seeds", type=_seeds, default=_seeds("0-9"), help="run seeds, e.g. 0-9")
     parser.add_argument("--passes", type=int, default=10, help="passes per run seed")
     parser.add_argument("--workers", type=int, default=1)
@@ -89,7 +107,7 @@ def main(argv=None) -> None:
         for seed in args.seeds:
             for i in range(args.passes):
                 ps = workloads.pass_seed(seed, i)
-                digests = layered_digests if name in LAYERED else pass_digests
+                digests = decompose_digests if name in DECOMPOSE else pass_digests
                 for file, digest in digests(workloads.WORKLOADS[name], ps, args.workers):
                     print(name, seed, ps, file, digest, flush=True)
 

@@ -23,6 +23,7 @@ trial does the same arithmetic, in the same order, as it would alone.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -221,6 +222,8 @@ def weak_lambda_scan(values, h: float, norm1: float, n_lambda: int = 64) -> floa
     The tail count is evaluated with >= at each level so the supremum of
     the piecewise-constant tail functional is attained on the grid.
     """
+    if n_lambda < 1:
+        raise ValueError("n_lambda must be at least 1")
     a = np.abs(np.asarray(values)).ravel()
     amax = float(a.max()) if a.size else 0.0
     if amax <= 0.0 or norm1 <= 0.0:
@@ -377,8 +380,8 @@ class ExperimentConfig:
         self.grid()  # raises ValueError for a grid TorusGrid rejects
         if ns[-1] * self.grid_period > self.grid_samples // 2:
             raise ValueError("largest N exceeds the separated-frequency budget")
-        if _EXPERIMENTS[self.experiment][1] == "vq_dk" and self.q <= 2:
-            raise ValueError("variation exponent q must exceed 2")
+        if _EXPERIMENTS[self.experiment][1] == "vq_dk" and not 2 < self.q < math.inf:
+            raise ValueError("variation exponent q must exceed 2 and be finite")
         if self.family != "all" and self.family not in _STRONG_FAMILIES:
             raise ValueError(f"unknown input family {self.family!r}")
         kind, op_id = _EXPERIMENTS[self.experiment]

@@ -8,6 +8,7 @@ usual Euclidean metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ def variation_norm(seq, q: float, mode: str = "homogeneous") -> float:
     (sum ||c_{k_j} - c_{k_{j-1}}||^q)^(1/q), by ``variation_dp`` after two
     exact reductions.  nonhomogeneous adds sup_k ||c_k|| (``vq_dk`` takes
     the maximum of the two instead)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not 1 <= q < math.inf:
+        raise ValueError("q must be finite and >= 1")
     if mode not in ("homogeneous", "nonhomogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
     # coordinate-major copy, so the O(n) passes reduce along the long axis

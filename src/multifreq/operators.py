@@ -10,6 +10,7 @@ is part of the object being measured, not an artifact to smooth away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -109,8 +110,8 @@ class RoughMultiplierSpec:
             raise ValueError("spec needs at least one interval")
         if (self.coefficients is None) == (self.symbols is None):
             raise ValueError("provide exactly one of coefficients or symbols")
-        if self.r < 1:
-            raise ValueError("variation exponent r must be >= 1")
+        if not 1 <= self.r < math.inf:
+            raise ValueError("variation exponent r must be finite and >= 1")
         grid = self.grid
         half = grid.samples // 2
         order = sorted(range(len(self.intervals)), key=lambda i: self.intervals[i][0])
@@ -189,8 +190,8 @@ def vq_dk(
     each k of the scale range in order, so callers applying one operator
     many times build the stack once.
     """
-    if q <= 2:
-        raise ValueError("variation exponent q must exceed 2")
+    if not 2 < q < math.inf:
+        raise ValueError("variation exponent q must exceed 2 and be finite")
     if mode not in ("homogeneous", "nonhomogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_same_grid(f, sigma)
@@ -329,8 +330,8 @@ def corollary_constants(
     sampled at the set frequencies, and the scale-invariant second
     difference bound sup over tiles of |tile|^2 |second derivative|.
     """
-    if t <= 2:
-        raise ValueError("variation exponent t must exceed 2")
+    if not 2 < t < math.inf:
+        raise ValueError("variation exponent t must exceed 2 and be finite")
     if not symbols_by_scale:
         raise ValueError("need symbols at one scale or more")
     grid = sigma.grid

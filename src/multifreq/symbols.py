@@ -218,8 +218,8 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
     the only cells a scan can stop at, and the remainder is expanded to
     the full lattice once at the end.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if not 1 <= r < math.inf:
+        raise ValueError("r must be finite and >= 1")
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     grid = g.grid
@@ -365,7 +365,7 @@ def whitney_decompose(
         mid = a + n // 2
         stack.append((mid, b))
         stack.append((a, mid))
-    raw.sort()
+    # the left half is popped first, so the pieces come out in ascending order
     pieces = tuple(WhitneyPiece(a - half, b - half, fl) for a, b, fl in raw)
 
     cover = np.zeros(m_samp, dtype=np.int64)
@@ -463,80 +463,51 @@ def window_system(skeleton: WhitneySystem) -> WindowSystem:
     """Build the smooth partition of unity and plateau windows.
 
     Ascending ramps of half-width 0.75 * min(neighbor sizes) sit at each
-    internal breakpoint; the interval's outer edges stay sharp. Summing
-    the telescoped differences reproduces the indicator bit for bit: the
-    last member covering a cell absorbs the one-ulp float residue of the
-    ramp cancellations, staying inside its own piece.
+    internal breakpoint; the interval's outer edges stay sharp.  Member i
+    is the ramp at its left breakpoint minus the ramp at its right one,
+    and ``sum_phi`` adds the members back up to the indicator bit for bit.
     """
     grid = skeleton.grid
     m_samp = grid.samples
     half = m_samp // 2
     pieces = skeleton.pieces
-    n_pieces = len(pieces)
+    last = len(pieces) - 1
     a0 = skeleton.omega_lo + half
     b0 = skeleton.omega_hi + half
+    # ramp half-width at breakpoint i, between pieces i - 1 and i; the
+    # outer edges 0 and last + 1 have no ramp
+    widths = [0.0, *(0.75 * min(p.cells, q.cells) for p, q in zip(pieces, pieces[1:])), 0.0]
 
-    arr_lo = [p.lo + half for p in pieces]
-    arr_hi = [p.hi + half for p in pieces]
-    sizes = [p.cells for p in pieces]
-
-    # internal breakpoint i sits at arr_lo[i], between pieces i-1 and i
-    widths = [0.0] * (n_pieces + 1)
-    for i in range(1, n_pieces):
-        widths[i] = 0.75 * min(sizes[i - 1], sizes[i])
-
-    slice_lo = []
-    slice_hi = []
-    raw_phi = []
-    for i in range(n_pieces):
-        lo = a0 if i == 0 else int(math.floor(arr_lo[i] - widths[i]))
-        hi = b0 if i == n_pieces - 1 else int(math.ceil(arr_hi[i] + widths[i + 1])) + 1
-        lo = max(lo, a0)
-        hi = min(hi, b0)
+    # The members sum to exactly 1.0 with no repair.  No cell lies in three
+    # ramps, and where ramps i and i + 1 meet, ramp i reads s >= smoothstep(2/3)
+    # and ramp i + 1 reads t <= smoothstep(1/3).  sum_phi adds in piece order
+    # from 0.0, so a cell gets (1 - s) + s or ((1 - s) + (s - t)) + t.  With
+    # 1 - s exact (Sterbenz) and s - t in [1/2, 1], (1 - s) + fl(s - t) is
+    # exact and within 2^-54 of 1 - t, so adding t rounds to 1.0; likewise
+    # (1 - s) + s, since fl(1 - s) is within 2^-54 of 1 - s.
+    windows = []
+    slope_max = 0.0
+    curvature_max = 0.0
+    for i, piece in enumerate(pieces):
+        n = piece.cells
+        p_lo = piece.lo + half
+        p_hi = piece.hi + half
+        w_left = widths[i]
+        w_right = widths[i + 1]
+        lo = a0 if i == 0 else max(int(math.floor(p_lo - w_left)), a0)
+        hi = b0 if i == last else min(int(math.ceil(p_hi + w_right)) + 1, b0)
         cells = np.arange(lo, hi, dtype=np.float64)
         if i == 0:
             left = np.ones_like(cells)
         else:
-            w = widths[i]
-            left = smoothstep((cells - (arr_lo[i] - w)) / (2.0 * w))
-        if i == n_pieces - 1:
+            left = smoothstep((cells - (p_lo - w_left)) / (2.0 * w_left))
+        if i == last:
             right = np.zeros_like(cells)
         else:
-            w = widths[i + 1]
-            right = smoothstep((cells - (arr_hi[i] - w)) / (2.0 * w))
-        raw_phi.append(np.asarray(left - right, dtype=np.float64))
-        slice_lo.append(lo)
-        slice_hi.append(hi)
+            right = smoothstep((cells - (p_hi - w_right)) / (2.0 * w_right))
+        phi = left - right
 
-    # float compensation: re-add everything, then rewrite the last
-    # contributor at each off-by-one-ulp cell so the running sum lands
-    # exactly on 1 inside the interval
-    for _ in range(3):
-        total = np.zeros(m_samp, dtype=np.float64)
-        for lo, vals in zip(slice_lo, raw_phi):
-            total[lo : lo + vals.shape[0]] += vals
-        bad = np.flatnonzero(total[a0:b0] != 1.0) + a0
-        if bad.size == 0:
-            break
-        for c in bad:
-            covering = [
-                i
-                for i in range(n_pieces)
-                if slice_lo[i] <= c < slice_hi[i]
-            ]
-            prefix = 0.0
-            for i in covering[:-1]:
-                prefix = prefix + float(raw_phi[i][c - slice_lo[i]])
-            last = covering[-1]
-            raw_phi[last][c - slice_lo[last]] = 1.0 - prefix
-
-    windows = []
-    slope_max = 0.0
-    curvature_max = 0.0
-    for i in range(n_pieces):
-        n = sizes[i]
-        vals = raw_phi[i]
-        padded = np.concatenate(([0.0], vals, [0.0]))
+        padded = np.concatenate(([0.0], phi, [0.0]))
         d1 = padded[1:] - padded[:-1]
         d2 = padded[:-2] - 2.0 * padded[1:-1] + padded[2:]
         slope = float(np.max(np.abs(d1)) * 4.0 * n)
@@ -544,31 +515,19 @@ def window_system(skeleton: WhitneySystem) -> WindowSystem:
         slope_max = max(slope_max, slope)
         curvature_max = max(curvature_max, curvature)
 
-        center = 0.5 * (arr_lo[i] + arr_hi[i])
+        center = 0.5 * (p_lo + p_hi)
         w_lo = max(int(math.ceil(center - 7.5 * n)), 0)
         w_hi = min(int(math.floor(center + 7.5 * n)) + 1, m_samp)
         w_cells = np.arange(w_lo, w_hi, dtype=np.float64)
         w_vals = plateau_profile(w_cells - center, 5.0 * n, 7.5 * n)
 
-        envelope = (pieces[i].lo - 1.5 * n, pieces[i].hi + 1.5 * n)
+        envelope = (piece.lo - 1.5 * n, piece.hi + 1.5 * n)
         windows.append(
-            WindowPiece(
-                pieces[i],
-                envelope,
-                slice_lo[i] - half,
-                vals,
-                w_lo - half,
-                np.asarray(w_vals, dtype=np.float64),
-                slope,
-                curvature,
-            )
+            WindowPiece(piece, envelope, lo - half, phi, w_lo - half, w_vals, slope, curvature)
         )
 
-    diags = []
-    for n, _count in skeleton.scale_counts:
-        mollifier_cells = 0.008 * n
-        diags.append(EtaScaleDiag(n, mollifier_cells, mollifier_cells < 8.0))
-    return WindowSystem(skeleton, tuple(windows), slope_max, curvature_max, tuple(diags))
+    diags = tuple(EtaScaleDiag(n, 0.008 * n, 0.008 * n < 8.0) for n, _ in skeleton.scale_counts)
+    return WindowSystem(skeleton, tuple(windows), slope_max, curvature_max, diags)
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +569,8 @@ def _synthesis_window(grid: TorusGrid, scale: float) -> tuple[np.ndarray, bool]:
         return base, True
     m_range = np.arange(-m_max, m_max + 1)
     eta_raw = bump_profile("eta", m_range * scale / grid.period)
+    # the sum includes eta(0) = 1, so it is positive
     total = float(np.sum(eta_raw))
-    if total <= 0.0:
-        return base, True
     out = np.zeros_like(base)
     for m, weight in zip(m_range, eta_raw):
         out += np.roll(base, m) * weight

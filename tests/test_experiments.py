@@ -1,5 +1,6 @@
 """Seeded norm estimation, scaling fits and the run_suite outputs."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,8 @@ def test_unknown_family_is_rejected():
         ({"grid_period": 3}, "power of two"),
         ({"q": 2.0}, "q must exceed 2"),
         ({"experiment": "weak11-scaling", "q": 2.0}, "q must exceed 2"),
+        ({"q": math.inf}, "q must exceed 2 and be finite"),
+        ({"q": math.nan}, "q must exceed 2 and be finite"),
         ({"grid_period": 2, "grid_samples": 64}, "sign inputs"),
         ({"experiment": "rvar-mult", "grid_period": 2, "grid_samples": 128}, "sign inputs"),
         (
@@ -161,6 +164,7 @@ def test_unknown_family_is_rejected():
     ],
     ids=[
         "unknown-experiment", "three-points", "period-3", "vq-l2-q-2", "weak11-q-2",
+        "vq-l2-q-inf", "vq-l2-q-nan",
         "vq-l2-sign-envelope", "rvar-sign-envelope", "rvar-narrow-lanes",
         "rough-wide-weak-atoms", "weak11-no-scales",
     ],
@@ -266,6 +270,8 @@ def test_weak_lambda_scan_on_step_data():
     h, norm1 = 0.5, 2.0
     want = lam[3] * 321 * h / norm1
     assert weak_lambda_scan(values, h, norm1, n_lambda=6) == pytest.approx(want, rel=1e-15)
+    with pytest.raises(ValueError, match="n_lambda"):
+        weak_lambda_scan(values, h, norm1, n_lambda=0)
 
 
 def test_rough_suite_memory_is_one_block_buffer(tmp_path):

@@ -12,6 +12,7 @@ library internals:
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -199,8 +200,9 @@ def test_variation_nonincreasing_in_q(rng):
 def test_variation_input_validation():
     with pytest.raises(ValueError):
         variation_norm([], 2)
-    with pytest.raises(ValueError):
-        variation_norm([1.0, 2.0], 0.5)
+    for q in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            variation_norm([1.0, 2.0], q)
     with pytest.raises(ValueError):
         variation_norm([1.0, 2.0], 2, mode="mixed")
 

@@ -1,6 +1,7 @@
 """Scale-window operators, sharp maximal function, rough multipliers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,9 @@ def test_spec_validation(default_grid):
         RoughMultiplierSpec(g, ((0, 100),), coefficients=np.array([1.5]))
     with pytest.raises(ValueError):
         RoughMultiplierSpec(g, ((0, 100),))
+    for r in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="exponent r"):
+            RoughMultiplierSpec(g, ((0, 100),), coefficients=np.ones(1), r=r)
     with pytest.raises(ValueError):
         RoughMultiplierSpec(g, ((0, 100_000),), coefficients=np.ones(1))
     leak = np.zeros(g.samples, dtype=np.complex128)
@@ -214,8 +218,9 @@ def test_dk_apply_grid_mismatch(default_grid, small_grid):
 def test_vq_dk_validation(default_grid):
     f = Signal(default_grid, np.zeros(default_grid.samples, dtype=np.complex128))
     sigma = FrequencySet(default_grid, np.array([0]))
-    with pytest.raises(ValueError):
-        vq_dk(f, sigma, 2.0)
+    for q in (2.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            vq_dk(f, sigma, q)
     with pytest.raises(ValueError):
         vq_dk(f, sigma, 3.0, mode="other")
 
@@ -667,8 +672,9 @@ def test_corollary_smooth_bump_matches_analytic(rng):
 def test_corollary_validation(default_grid):
     sigma = FrequencySet(default_grid, np.array([0]))
     symbols = {2: _tile_symbols(default_grid, sigma, 2)}
-    with pytest.raises(ValueError):
-        corollary_constants(symbols, sigma, 2.0)
+    for t in (2.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            corollary_constants(symbols, sigma, t)
     with pytest.raises(ValueError):
         corollary_constants({}, sigma, 3.0)
     with pytest.raises(ResolutionError):

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multifreq import symbols
-from multifreq.bumps import bump_profile, plateau_profile
+from multifreq.bumps import bump_profile, plateau_profile, smoothstep
 from multifreq.errors import ConstructionError, GridMismatchError, ResolutionError
 from multifreq.fluctuation import variation_norm
 from multifreq.grid import (
@@ -164,6 +164,8 @@ def whitney_property_scan(system):
     assert np.all(cover[a0:b0] == 1)
     assert np.all(cover[:a0] == 0)
     assert np.all(cover[b0:] == 0)
+    # ascending, which window_system relies on to telescope its ramps
+    assert all(p.hi == q.lo for p, q in zip(system.pieces, system.pieces[1:]))
 
 
 def overlap_oracle(system):
@@ -456,8 +458,9 @@ def test_layers_equal_the_plain_decomposition_bit_for_bit(vals, r, tol):
 
 def test_layers_validation(layer_grid):
     g = Spectrum(layer_grid, np.zeros(layer_grid.samples, dtype=np.complex128))
-    with pytest.raises(ValueError):
-        vr_layer_decompose(g, 0.5)
+    for r in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            vr_layer_decompose(g, r)
     with pytest.raises(ValueError):
         vr_layer_decompose(g, 2.0, tol=0.0)
     with pytest.raises(ValueError):
@@ -673,6 +676,30 @@ def whitney_interval(draw):
 def test_partition_of_unity_exact_on_any_interval(bounds):
     ws = window_system(whitney_decompose(WHITNEY_GRID, *bounds))
     assert np.array_equal(ws.sum_phi(), ws.skeleton.indicator())
+
+
+# where the ramps at breakpoints i and i + 1 meet, ramp i reads at least
+# S_MEET and ramp i + 1 at most T_MEET
+S_MEET = float(smoothstep(2.0 / 3.0))
+T_MEET = float(smoothstep(1.0 / 3.0))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(S_MEET, 1.0), st.floats(0.0, T_MEET, allow_subnormal=True))
+@example(S_MEET, T_MEET)
+@example(1.0 - 2.0**-53, 2.0**-1074)
+def test_three_members_sum_to_one(s, t):
+    # a cell in two ramps adds 1 - s, s - t and t, in piece order from 0.0
+    assert ((0.0 + (1.0 - s)) + (s - t)) + t == 1.0
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(0.0, 1.0, allow_subnormal=True))
+@example(2.0**-1074)
+@example(0.5 - 2.0**-54)
+def test_two_members_sum_to_one(s):
+    # a cell in one ramp adds 1 - s and s
+    assert (0.0 + (1.0 - s)) + s == 1.0
 
 
 def test_mollifier_diagnostics(big_window_system):
