@@ -44,6 +44,7 @@ from .grid import (
 )
 from .operators import (
     RoughMultiplierSpec,
+    _IntervalSymbols,
     default_scale_range,
     vq_dk,
 )
@@ -109,14 +110,15 @@ def sample_rough_spec(
     if not with_symbols:
         phases = np.exp(2j * np.pi * rng.random(n))
         return RoughMultiplierSpec(grid, tuple(ivs), coefficients=phases)
-    syms = []
+    domes = []
     for lo, hi in ivs:
-        arr = np.zeros(grid.samples, dtype=np.complex128)
         w = hi - lo
         cells = np.arange(lo, hi) - 0.5 * (lo + hi)
-        arr[grid.slot(lo) : grid.slot(hi)] = plateau_profile(cells, 0.25 * w, 0.499 * w)
-        syms.append(arr)
-    return RoughMultiplierSpec(grid, tuple(ivs), symbols=tuple(syms), r=r)
+        domes.append(plateau_profile(cells, 0.25 * w, 0.499 * w))
+    # the domes go in on their intervals: no zero full-lattice arrays
+    return RoughMultiplierSpec(
+        grid, tuple(ivs), symbols=_IntervalSymbols(grid, ivs, domes), r=r
+    )
 
 
 @dataclass(frozen=True)

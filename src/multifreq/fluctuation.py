@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _EXACT_LIMIT = 12
+_DP_BLOCK = 4096  # columns per variation_dp block
 
 
 def _as_real_points(seq) -> np.ndarray:
@@ -47,19 +48,43 @@ def _as_real_points(seq) -> np.ndarray:
 
 def variation_dp(pts: np.ndarray, q: float) -> np.ndarray:
     """Homogeneous q-variation along axis 0 of real points (n, D[, M]), one
-    result per trailing column, by exact DP over the pairs j < i only, in
-    O(n * D * M) memory.  The turning-point reduction ``variation_norm``
-    runs first is exact only for q >= 1 and one moving coordinate."""
-    cols = pts.reshape(len(pts), pts.shape[1], -1)
-    best = np.zeros((len(pts), cols.shape[2]))
-    # 2048-column blocks keep each step's temporaries small, so the
-    # allocator reuses them instead of mapping fresh pages every time
-    for b in range(0, cols.shape[2], 2048):
-        blk, acc = cols[..., b : b + 2048], best[:, b : b + 2048]
-        for i in range(1, len(pts)):
-            d = blk[:i] - blk[i]
-            acc[i] = np.max(acc[:i] + np.sum(d * d, axis=1) ** (0.5 * q), axis=0)
-    return (np.max(best, axis=0) ** (1.0 / q)).reshape(pts.shape[2:])
+    result per trailing column, by exact DP over the pairs j < i only.
+    It works in blocks of ``_DP_BLOCK`` columns, in O(n * _DP_BLOCK)
+    memory beyond its M results.  Squared distances sum the coordinates in
+    sequence, d_0^2 + d_1^2 + ..., whatever the memory layout of ``pts``.
+    The turning-point reduction ``variation_norm`` runs first is exact
+    only for q >= 1 and one moving coordinate."""
+    n = len(pts)
+    cols = pts.reshape(n, pts.shape[1], -1)
+    dim, m = cols.shape[1:]
+    width = min(m, _DP_BLOCK)
+    out = np.empty(m)
+    # column blocks with preallocated step buffers: each step writes into
+    # the same few pages instead of mapping fresh temporaries
+    best = np.zeros((n, width))
+    diff = np.empty((n - 1) * width)
+    term = np.empty((n - 1) * width)
+    for b in range(0, m, _DP_BLOCK):
+        blk = cols[..., b : b + _DP_BLOCK]
+        w = blk.shape[2]
+        acc = best[:, :w]
+        for i in range(1, n):
+            d = diff[: i * w].reshape(i, w)
+            s = term[: i * w].reshape(i, w)
+            np.subtract(blk[:i, 0], blk[i, 0], out=d)
+            np.multiply(d, d, out=s)
+            for c in range(1, dim):
+                np.subtract(blk[:i, c], blk[i, c], out=d)
+                d *= d
+                s += d
+            # **= takes the scalar fast paths of ** (q = 4 squares), so the
+            # bits are those of **
+            s **= 0.5 * q
+            s += acc[:i]
+            np.max(s, axis=0, out=acc[i])
+        np.max(acc, axis=0, out=out[b : b + w])
+    out **= 1.0 / q
+    return out.reshape(pts.shape[2:])
 
 
 def variation_norm(seq, q: float, mode: str = "homogeneous") -> float:
@@ -306,7 +331,7 @@ def entropy_integral(points, n_freq: int, q: float, kind: str = "tech") -> float
     if n_freq < 1:
         raise ValueError("n_freq must be at least 1")
     if kind == "tech":
-        if q <= 2:
+        if not q > 2:  # NaN fails too
             raise ValueError("kind 'tech' requires q > 2")
     elif kind != "b33":
         raise ValueError(f"unknown kind {kind!r}")
@@ -324,7 +349,7 @@ def entropy_integral(points, n_freq: int, q: float, kind: str = "tech") -> float
 def lambda_entropy_sup(points, r: float) -> float:
     """sup over lam in (0, rho) of lam * M_lam^(1/r), evaluated exactly
     at the left limits of the profile breakpoints.  Requires r > 2."""
-    if r <= 2:
+    if not r > 2:  # NaN fails too
         raise ValueError("r must be > 2")
     profile = entropy_profile(points)
     best = 0.0

@@ -11,8 +11,9 @@ is part of the object being measured, not an artifact to smooth away.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,21 +71,51 @@ def default_scale_range(grid: TorusGrid) -> ScaleRange:
     return ScaleRange(1, grid.finest_scale)
 
 
-def _lattice_symbol(grid: TorusGrid, raw, lo=None, hi=None, where="") -> np.ndarray:
-    """``raw`` as a complex full-lattice array of finite values.  Given
-    array positions ``lo`` and ``hi``, every nonzero cell must also sit
-    in [lo, hi), the span that ``where`` names in the error."""
+def _lattice_symbol(grid: TorusGrid, raw, lo=0, hi=None, where="") -> np.ndarray:
+    """``raw`` as a complex full-lattice array of finite values.  Every
+    nonzero cell must sit in the array positions [lo, hi), the span that
+    ``where`` names in the error; without ``hi`` the span is the whole
+    lattice."""
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.shape != (grid.samples,):
         raise ValueError("symbols must live on the full lattice")
-    nz = np.flatnonzero(arr)
-    # NaN and inf are nonzero, so they sit between the first and the last
-    # nonzero cell; a view of that span is checked without copying it
-    if nz.size and not np.isfinite(arr[nz[0] : nz[-1] + 1]).all():
+    lo = max(math.ceil(lo), 0)
+    hi = grid.samples if hi is None else min(math.ceil(hi), grid.samples)
+    outside = (arr[:lo], arr[hi:])
+    if not np.isfinite(arr[lo:hi]).all():
         raise ValueError("symbol values must be finite")
-    if lo is not None and nz.size and (nz[0] < lo or nz[-1] >= hi):
+    if any(v.any() for v in outside):
+        # NaN and inf are nonzero too, and they are refused as such
+        if not all(np.isfinite(v).all() for v in outside):
+            raise ValueError("symbol values must be finite")
         raise SymbolSupportError(f"symbol is supported outside {where}")
     return arr
+
+
+class _IntervalSymbols(Sequence):
+    """Full-lattice symbols stored as their values on their intervals.
+
+    Item i is built when accessed: a read-only complex array, zero off
+    interval i and equal to ``values[i]`` on it.
+    """
+
+    def __init__(self, grid: TorusGrid, intervals, values):
+        self._grid = grid
+        self._intervals = tuple(intervals)
+        self._values = tuple(values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        start = self._grid.slot(self._intervals[i][0])
+        vals = self._values[i]
+        arr = np.zeros(self._grid.samples, dtype=np.complex128)
+        arr[start : start + len(vals)] = vals
+        arr.setflags(write=False)
+        return arr
 
 
 @dataclass(frozen=True)
@@ -94,15 +125,17 @@ class RoughMultiplierSpec:
 
     ``intervals`` are half-open lattice index pairs [lo, hi).  Exactly one
     of ``coefficients`` (complex, modulus at most 1) and ``symbols``
-    (full-lattice arrays, one per interval) must be given.  Symbols are
-    frozen in place, not copied, as ``Signal`` freezes its values.  ``r``
+    (full-lattice arrays, one per interval) must be given.  The spec keeps
+    a read-only copy of each symbol's values on its interval, and reads
+    back ``symbols`` as a sequence of read-only full-lattice arrays, each
+    built when accessed; the caller's arrays are left as they are.  ``r``
     is the variation exponent the layered ``rvar_M`` path decomposes with.
     """
 
     grid: TorusGrid
     intervals: tuple[tuple[int, int], ...]
     coefficients: np.ndarray | None = None
-    symbols: tuple[np.ndarray, ...] | None = None
+    symbols: Sequence[np.ndarray] | None = None
     r: float = 2.0
 
     def __post_init__(self):
@@ -126,7 +159,9 @@ class RoughMultiplierSpec:
                 raise SymbolSupportError("intervals overlap")
         object.__setattr__(self, "intervals", tuple(ivs))
 
+        # the single multiplier, summed once for every application to share
         slot = grid.slot
+        acc = np.zeros(grid.samples, dtype=np.complex128)
         if self.coefficients is not None:
             coef = np.asarray(self.coefficients, dtype=np.complex128)
             if coef.shape != (len(ivs),):
@@ -135,23 +170,21 @@ class RoughMultiplierSpec:
             if not np.all(np.abs(coef) <= 1.0 + 1e-12):
                 raise ValueError("coefficients must be finite with modulus at most 1")
             object.__setattr__(self, "coefficients", _freeze(coef[order]))
+            for (lo, hi), d in zip(ivs, self.coefficients):
+                acc[slot(lo) : slot(hi)] = d
         else:
             if len(self.symbols) != len(ivs):
                 raise ValueError("one symbol per interval required")
-            syms = tuple(
-                _freeze(_lattice_symbol(grid, self.symbols[i], slot(lo), slot(hi), "its interval"))
-                for i, (lo, hi) in zip(order, ivs)
-            )
-            object.__setattr__(self, "symbols", syms)
-
-        # the single multiplier, summed once for every application to share
-        acc = np.zeros(grid.samples, dtype=np.complex128)
-        if self.coefficients is not None:
-            for (lo, hi), d in zip(self.intervals, self.coefficients):
-                acc[slot(lo) : slot(hi)] = d
-        else:
-            for s in self.symbols:
-                acc += s
+            vals = []
+            for i, (lo, hi) in zip(order, ivs):
+                member = _lattice_symbol(grid, self.symbols[i], slot(lo), slot(hi), "its interval")
+                vals.append(_freeze(member[slot(lo) : slot(hi)].copy()))
+                del member  # one member on the full lattice at a time
+                # the bits of acc += member: off its interval the member is
+                # +-0.0, and adding +-0.0 to a cell that is not -0.0 (acc
+                # starts at +0.0, so no cell is) changes nothing
+                acc[slot(lo) : slot(hi)] += vals[-1]
+            object.__setattr__(self, "symbols", _IntervalSymbols(grid, ivs, vals))
         object.__setattr__(self, "_assembled", Spectrum(grid, acc))
 
     def assembled_symbol(self) -> Spectrum:
@@ -205,17 +238,23 @@ def vq_dk(
     else:
         for sym in symbols:
             _check_same_grid(f, sym)
-    fhat = forward_transform(f)
-    prods = np.empty((len(scale_range), f.grid.samples), dtype=np.complex128)
-    for row, sym in enumerate(symbols):
-        np.multiply(fhat.values, sym.values, out=prods[row])
+    samples = f.grid.samples
+    half = samples // 2
+    fhat = forward_transform(f).values
+    stack = np.empty((len(scale_range), samples), dtype=np.complex128)
+    for row, sym in zip(stack, symbols):
+        # each product goes straight to its place in FFT order, that of
+        # np.fft.ifftshift: ascending position p lands at (p - half) mod samples
+        np.multiply(fhat[half:], sym.values[half:], out=row[: samples - half])
+        np.multiply(fhat[:half], sym.values[:half], out=row[samples - half :])
+    del fhat
     # one inverse transform for every scale; each row gets the bits of
     # inverse_transform applied to it alone
-    stack = np.fft.ifftshift(prods, axes=-1)
-    del prods
     np.fft.ifft(stack, out=stack)
     stack /= f.grid.h
-    out = variation_dp(np.stack((stack.real, stack.imag), axis=1), q)
+    # the stack's real and imaginary parts as (K, 2, samples) points, a view
+    pts = stack.view(np.float64).reshape(len(stack), samples, 2).transpose(0, 2, 1)
+    out = variation_dp(pts, q)
     if mode == "nonhomogeneous":
         out = np.maximum(out, np.max(np.abs(stack), axis=0))
     return Signal(f.grid, out.astype(np.complex128))

@@ -290,15 +290,18 @@ def test_rough_suite_memory_is_one_block_buffer(tmp_path):
     assert peak < 8 * 2**20
 
 
-def test_symbol_spec_peaks_at_its_live_size():
-    # the spec keeps the member arrays it is given, so sampling one holds
-    # each member once; copying them peaked near twice the live size
-    rng = np.random.default_rng(0)
+def test_symbol_spec_holds_its_members_on_their_intervals():
+    # the members' intervals hold at most samples / 2 cells in all, and
+    # each member is on the full lattice only while it is checked
+    grid = TorusGrid()
+    full = grid.samples * 16  # bytes of one full-lattice complex array
+    mx.sample_rough_spec(grid, 128, np.random.default_rng(1), with_symbols=True)
     tracemalloc.start()
     try:
-        spec = mx.sample_rough_spec(TorusGrid(), 16, rng, with_symbols=True)
+        spec = mx.sample_rough_spec(grid, 128, np.random.default_rng(0), with_symbols=True)
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(spec.symbols) == 16
-    assert peak <= 1.1 * live
+    assert len(spec.symbols) == 128
+    assert live < 2**20
+    assert peak < live + 2 * full

@@ -249,6 +249,38 @@ def test_batched_kernel_matches_variation_norm_per_column(vals, complex_valued, 
         assert abs(got[c] - want) <= 1e-12 * want
 
 
+def plain_variation_dp(pts, q):
+    """variation_dp as one fresh set of temporaries per DP step: the
+    reference its buffered kernel must match bit for bit."""
+    cols = pts.reshape(len(pts), pts.shape[1], -1)
+    best = np.zeros((len(pts), cols.shape[2]))
+    for b in range(0, cols.shape[2], 2048):
+        blk, acc = cols[..., b : b + 2048], best[:, b : b + 2048]
+        for i in range(1, len(pts)):
+            d = blk[:i] - blk[i]
+            acc[i] = np.max(acc[:i] + np.sum(d * d, axis=1) ** (0.5 * q), axis=0)
+    return (np.max(best, axis=0) ** (1.0 / q)).reshape(pts.shape[2:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.integers(1, 5000),
+    st.floats(2.0, 6.0, exclude_min=True),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["rows", "coordinates-innermost", "one-column"]),
+)
+def test_buffered_kernel_equals_the_plain_loop_bit_for_bit(n, dim, m, q, seed, layout):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, dim, m)) * 10.0 ** rng.integers(-3, 4, size=(n, dim, m))
+    if layout == "coordinates-innermost":  # as vq_dk views its complex stack
+        pts = np.ascontiguousarray(pts.transpose(0, 2, 1)).transpose(0, 2, 1)
+    elif layout == "one-column":
+        pts = pts[..., 0]
+    assert variation_dp(pts, q).tobytes() == plain_variation_dp(pts, q).tobytes()
+
+
 def test_long_noncollinear_sequence_still_rejected():
     seq = np.exp(2j * np.pi * np.arange(8193) / 8193)
     with pytest.raises(ValueError):
@@ -443,8 +475,9 @@ def test_integral_two_point_closed_form():
 def test_integral_validation():
     with pytest.raises(ValueError):
         entropy_integral([0.0, 1.0], 0, 3.0)
-    with pytest.raises(ValueError):
-        entropy_integral([0.0, 1.0], 2, 2.0, kind="tech")
+    for q in (2.0, math.nan):
+        with pytest.raises(ValueError):
+            entropy_integral([0.0, 1.0, 5.0], 2, q, kind="tech")
     with pytest.raises(ValueError):
         entropy_integral([0.0, 1.0], 2, 3.0, kind="exp")
 
@@ -491,8 +524,9 @@ def test_sup_two_points_closed_form():
 
 
 def test_sup_requires_r_above_two():
-    with pytest.raises(ValueError):
-        lambda_entropy_sup([0.0, 1.0], 2.0)
+    for r in (2.0, math.nan):
+        with pytest.raises(ValueError):
+            lambda_entropy_sup([0.0, 1.0, 5.0], r)
 
 
 def test_sup_matches_dense_grid(rng):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from multifreq.bumps import bump_profile, dk_tiles, build_dk_symbol
 from multifreq.errors import GridMismatchError, ResolutionError, SymbolSupportError
-from multifreq.fluctuation import symbol_vr_norm
+from multifreq.fluctuation import symbol_vr_norm, variation_dp
 from multifreq.grid import (
     FrequencySet,
     Signal,
@@ -143,11 +144,13 @@ def test_spec_sorts_and_records_norms(default_grid):
     s2[half - 400 : half - 300] = 0.5
     spec = RoughMultiplierSpec(g, ((200, 300), (-400, -300)), symbols=(s1, s2))
     assert spec.intervals == ((-400, -300), (200, 300))
-    assert np.array_equal(spec.symbols[0], s2)
-    # members are the caller's arrays, frozen in place rather than copied
+    # members read back bit for bit and read-only; the caller's arrays
+    # stay the caller's, writable
     for member, source in zip(spec.symbols, (s2, s1)):
-        assert np.shares_memory(member, source)
+        assert member.tobytes() == source.tobytes()
         assert not member.flags.writeable
+        assert source.flags.writeable
+    assert [m.tobytes() for m in spec.symbols[::-1]] == [s1.tobytes(), s2.tobytes()]
     # interior indicator has r-variation 1 + 2^(1/r)
     norms = [symbol_vr_norm(s, spec.r) for s in spec.symbols]
     assert norms[1] == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-12)
@@ -279,6 +282,63 @@ def test_vq_dk_with_a_prebuilt_symbol_stack(default_grid, rng):
     foreign = [build_dk_symbol(other, k) for k in sr.scales()]
     with pytest.raises(GridMismatchError):
         vq_dk(f, sigma, 3.0, scale_range=sr, symbols=foreign)
+
+
+def _vq_dk_oracle(f, sigma, q, scale_range, mode):
+    """vq_dk through a shifted copy of the products and a stacked
+    real/imaginary copy of the outputs (variation_dp is pinned bit for bit
+    to its plain loop in test_fluctuation)."""
+    fhat = forward_transform(f)
+    prods = np.empty((len(scale_range), f.grid.samples), dtype=np.complex128)
+    for row, k in enumerate(scale_range.scales()):
+        np.multiply(fhat.values, build_dk_symbol(sigma, k).values, out=prods[row])
+    stack = np.fft.ifftshift(prods, axes=-1)
+    np.fft.ifft(stack, out=stack)
+    stack /= f.grid.h
+    out = variation_dp(np.stack((stack.real, stack.imag), axis=1), q)
+    if mode == "nonhomogeneous":
+        out = np.maximum(out, np.max(np.abs(stack), axis=0))
+    return out.astype(np.complex128)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 4),
+    st.floats(2.0, 6.0, exclude_min=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_vq_dk_equals_the_shifted_copy_path_bit_for_bit(log_period, extra, q, seed):
+    g = TorusGrid(2**log_period, 2 ** (log_period + extra))
+    rng = np.random.default_rng(seed)
+    half = g.samples // 2
+    idx = rng.choice(np.arange(-half + 1, half), int(rng.integers(1, 4)), replace=False)
+    sigma = FrequencySet(g, idx)
+    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
+    sr = ScaleRange(1, g.finest_scale)
+    stack = [build_dk_symbol(sigma, k) for k in sr.scales()]
+    for mode in ("homogeneous", "nonhomogeneous"):
+        want = _vq_dk_oracle(f, sigma, q, sr, mode).tobytes()
+        assert vq_dk(f, sigma, q, sr, mode).values.tobytes() == want
+        assert vq_dk(f, sigma, q, sr, mode, symbols=stack).values.tobytes() == want
+
+
+def test_vq_dk_peaks_under_twice_its_stack(default_grid, rng):
+    # products go straight into the (K, samples) stack and variation_dp
+    # reads it through a view, so no second stack-sized copy is made
+    g = default_grid
+    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
+    sigma = FrequencySet(g, np.array([-512, 256, 3000]))
+    sr = default_scale_range(g)
+    stack = [build_dk_symbol(sigma, k) for k in sr.scales()]
+    vq_dk(f, sigma, 3.0, symbols=stack)
+    tracemalloc.start()
+    try:
+        vq_dk(f, sigma, 3.0, symbols=stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(sr) * g.samples * 16
 
 
 def test_vq_dk_monotone_in_range(default_grid, rng):
