@@ -68,16 +68,6 @@ from .operators import (
     sharp_maximal,
     vq_dk,
 )
-from .fluctuation import (
-    EntropyProfile,
-    entropy_count,
-    entropy_integral,
-    entropy_profile,
-    lambda_entropy_sup,
-    min_enclosing_ball,
-    profile_to_csv,
-    symbol_vr_norm,
-    variation_norm,
-)
+from .fluctuation import symbol_vr_norm, variation_norm
 
 __version__ = "0.1.0"

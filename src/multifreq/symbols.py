@@ -228,7 +228,10 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
     vals = g.values
     v = variation_norm(vals, r, mode="nonhomogeneous")
     if not math.isfinite(v):
-        raise ValueError(f"symbol r-variation is {v!r}; every value must be finite")
+        raise ValueError(
+            f"symbol r-variation is {v!r}: a value is non-finite or the "
+            "variation exceeds the float range"
+        )
     if v == 0.0:
         zero = Spectrum(grid, np.zeros(m_samp, dtype=np.complex128))
         layer0 = (LayerPiece(-half, half, 0j),)

@@ -19,9 +19,7 @@ from multifreq import (
     Spectrum,
     TorusGrid,
     cz_reports_to_csv,
-    entropy_profile,
     layered_to_csv,
-    profile_to_csv,
     rvar_M,
     signal_to_csv,
     spectrum_to_csv,
@@ -142,18 +140,6 @@ def test_cz_reports_csv_bytes(tmp_path):
     assert written(tmp_path, cz_reports_to_csv, [report]) == (
         "lambda,n_freq,c1,c2,c3,c4,c5,c6,min_gram_sv\n"
         "0.5,2,0.33333333333333331,0,9.9999999999999995e-21,2,0.10000000000000001,1.5e-16,1\n"
-    )
-
-
-def test_profile_csv_bytes(tmp_path):
-    profile = entropy_profile([0.0, 1.0, 3.0, 7.0, 7.5])
-    assert written(tmp_path, profile_to_csv, profile) == (
-        "lambda,count\n"
-        "0,5\n"
-        "0.5,4\n"
-        "1,3\n"
-        "3,2\n"
-        "3.75,1\n"
     )
 
 

@@ -473,7 +473,7 @@ def test_layers_validation(layer_grid):
         with pytest.raises(ValueError, match="finite"):
             vr_layer_decompose(Spectrum(layer_grid, vals), 2.0)
     huge = np.zeros(layer_grid.samples, dtype=np.complex128)
-    huge[100], huge[200] = 1e300, -1e300
+    huge[100], huge[200] = 1.5e308, -1.5e308
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         vr_layer_decompose(Spectrum(layer_grid, huge), 2.0)
 
