@@ -13,9 +13,12 @@ and that of its remainder's bytes with ``repr(source_norm)`` and
 (``window_system``) for every member's ``phi_lo``, ``window_lo``,
 ``envelope``, ``slope`` and ``curvature`` reprs and its ``phi_values`` and
 ``window_values`` bytes, in piece order, then ``slope_max``,
-``curvature_max`` and ``mollifier_diags``.  The suites, their configs, the
-decompose inputs and the pass seeds come from ``perfbench/workloads.py``,
-which is only read.  ``--suites`` defaults to all four workloads.  The library is
+``curvature_max`` and ``mollifier_diags``.  A last line
+(``windowed_expand``) replays the pass's ``windowed_expand`` call and
+hashes its coefficient, reconstruction and target bytes and
+``repr(rel_error)``.  The suites, their configs, the decompose inputs
+and the pass seeds come from ``perfbench/workloads.py``, which is only
+read.  ``--suites`` defaults to all four workloads.  The library is
 imported from ``PYTHONPATH``, so the same script checks any tree:
 
     PYTHONPATH=src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > new.txt
@@ -61,8 +64,8 @@ def pass_digests(suite, pass_seed: int, workers: int) -> list[tuple[str, str]]:
 
 def decompose_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]:
     """(name, sha256) for each member's layer CSV and remainder, for the
-    layered ``rvar_M`` output and for the window system of one decompose
-    pass; ``workers`` is unused."""
+    layered ``rvar_M`` output, for the window system and for the windowed
+    expansion of one decompose pass; ``workers`` is unused."""
     mf = workloads.multifreq
     grid, rng, f, _, _, shift, _ = work.inputs(pass_seed)
     spec = workloads.mx.sample_rough_spec(grid, work.SPEC_N, rng, with_symbols=True)
@@ -91,6 +94,13 @@ def decompose_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str
         f"{system.slope_max!r} {system.curvature_max!r} {system.mollifier_diags!r}".encode()
     )
     digests.append(("window_system", windows.hexdigest()))
+    omega = mf.DyadicFreqInterval(grid, work.EXPAND_K, work.EXPAND_M)
+    expansion = mf.windowed_expand(f, omega)
+    expand = hashlib.sha256(expansion.coefficients.tobytes())
+    expand.update(expansion.reconstruction.values.tobytes())
+    expand.update(expansion.target.values.tobytes())
+    expand.update(repr(expansion.rel_error).encode())
+    digests.append(("windowed_expand", expand.hexdigest()))
     return digests
 
 

@@ -9,9 +9,9 @@ width reproduces the serial numbers exactly.
 
 Work is split in two.  ``_build_setup`` makes one frozen plan per N: the
 sampled frequency set or interval spec, the scale-window symbol stack
-for ``vq_dk``, and for ``rough_T``/``rvar_M`` the assembled symbol in FFT
-order.  The trials then run in blocks of ``TRIAL_BLOCK``, through one
-complex (``TRIAL_BLOCK``, samples) buffer that every block of the N
+for ``vq_dk``, and for ``rough_T``/``rvar_M`` the assembled symbol.  The
+trials then run in blocks of ``TRIAL_BLOCK``, through one complex
+(``TRIAL_BLOCK``, samples) buffer that every block of the N
 reuses, ``TRIAL_BLOCK * samples * 16`` bytes.  A block computes each
 exponential its sign trials share once, writes its inputs into the
 buffer's rows, and the plan maps the rows to their outputs in place:
@@ -155,10 +155,9 @@ def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, seed: int) -> _P
 
         return _Plan(apply, zones, sigma.indices)
     spec = sample_rough_spec(grid, n, rng, with_symbols=(op_id == "rvar_M"))
-    # rough_T and rvar_M (direct path) multiply by the assembled symbol;
-    # stored in FFT order, it goes through the whole block in one transform
-    # pair with the bits of one rough_T/rvar_M call per trial
-    symbol = np.fft.ifftshift(spec.assembled_symbol().values)
+    # rough_T and rvar_M (direct path) put the whole block through one
+    # transform pair, with the bits of one call per trial
+    symbol = spec.assembled_symbol().values
     reps = np.array([(lo + hi) // 2 for lo, hi in spec.intervals])
     return _Plan(lambda rows, run: _multiply_rows(rows, symbol, grid.h), spec.intervals, reps)
 

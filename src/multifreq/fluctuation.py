@@ -31,6 +31,15 @@ def _as_real_points(seq) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def _pow2_shift(big: float) -> int:
+    """Exponent of the power of two that brings a largest coordinate
+    ``big`` into [2^-500, 2^500], where squares neither overflow nor
+    underflow; 0 inside that range and for 0, inf or NaN."""
+    if 0 < big < 2.0**-500 or 2.0**500 < big < math.inf:
+        return math.frexp(big)[1]
+    return 0
+
+
 def variation_dp(pts: np.ndarray, q: float) -> np.ndarray:
     """Homogeneous q-variation along axis 0 of real points (n, D[, M]), one
     result per trailing column, by exact DP over the pairs j < i only.
@@ -38,7 +47,12 @@ def variation_dp(pts: np.ndarray, q: float) -> np.ndarray:
     memory beyond its M results.  Squared distances sum the coordinates in
     sequence, d_0^2 + d_1^2 + ..., whatever the memory layout of ``pts``.
     The turning-point reduction ``variation_norm`` runs first is exact
-    only for q >= 1 and one moving coordinate."""
+    only for q >= 1 and one moving coordinate.  Points outside the range
+    of ``_pow2_shift`` are scaled by a power of two, as in
+    ``variation_norm``; inside it no copy is made."""
+    shift = _pow2_shift(max(-np.min(pts, initial=0.0), np.max(pts, initial=0.0)))
+    if shift:
+        pts = np.ldexp(pts, -shift)
     n = len(pts)
     cols = pts.reshape(n, pts.shape[1], -1)
     dim, m = cols.shape[1:]
@@ -69,6 +83,8 @@ def variation_dp(pts: np.ndarray, q: float) -> np.ndarray:
             np.max(s, axis=0, out=acc[i])
         np.max(acc, axis=0, out=out[b : b + w])
     out **= 1.0 / q
+    if shift:
+        np.ldexp(out, shift, out=out)
     return out.reshape(pts.shape[2:])
 
 
@@ -90,10 +106,8 @@ def variation_norm(seq, q: float, mode: str = "homogeneous") -> float:
         raise ValueError(f"unknown mode {mode!r}")
     # coordinate-major copy, so the O(n) passes reduce along the long axis
     xs = np.ascontiguousarray(_as_real_points(seq).T)
-    big = float(np.max(np.abs(xs)))
-    shift = 0
-    if 0 < big < 2.0**-500 or 2.0**500 < big < math.inf:
-        shift = math.frexp(big)[1]
+    shift = _pow2_shift(float(np.max(np.abs(xs))))
+    if shift:
         xs = np.ldexp(xs, -shift)
     # np.ldexp overflows to inf where math.ldexp raises; by 0 it is exact
     sup_term = float(np.ldexp(np.sqrt(np.max(np.sum(xs * xs, axis=0))), shift))

@@ -17,6 +17,8 @@ width ``2^-k`` spans ``period / 2^k`` lattice cells.  ``TorusGrid.slot``
 and ``TorusGrid.tile_cells`` are the only owners of these two facts;
 everything else asks them.  Likewise every CSV the package writes goes
 through ``write_csv``, which alone decides how a cell is formatted.
+FFT order is known only to the transform pair and to the two multiply
+kernels every multiplier goes through, ``_multiply_rows`` and ``_multiply_each``.
 """
 
 from __future__ import annotations
@@ -207,26 +209,41 @@ def inverse_transform(spec: Spectrum) -> Signal:
 
 
 def _multiply_rows(rows: np.ndarray, symbol: np.ndarray, h: float) -> None:
-    """Apply a multiplier to every row of ``rows`` in place.
-
-    ``rows`` is a writable complex128 array of signal values along its last
-    axis, and ``symbol`` is ``np.fft.ifftshift`` of the ascending-order
-    symbol.  Each row gets the bits of ``apply_multiplier``: an elementwise
-    product commutes with the shift, and numpy transforms each row along
-    the last axis exactly as it would transform that row alone.
-    """
+    """Apply the ascending-order ``symbol`` in place to every row of
+    ``rows``, a writable complex128 array of signals.  Position p of the
+    symbol meets FFT bin (p - samples/2) mod samples, and numpy transforms
+    each row as it would transform that row alone."""
+    half = rows.shape[-1] // 2
     np.fft.fft(rows, out=rows)
     rows *= h
-    rows *= symbol
+    rows[..., :half] *= symbol[half:]
+    rows[..., half:] *= symbol[:half]
     np.fft.ifft(rows, out=rows)
     rows /= h
+
+
+def _multiply_each(values: np.ndarray, symbols, h: float, count: int) -> np.ndarray:
+    """The (count, samples) stack of ``values`` under each of the ``count``
+    ascending symbols that ``symbols`` yields, one forward transform for
+    all rows; row k has the bits of ``apply_multiplier`` with symbol k."""
+    half = values.shape[-1] // 2
+    spec = np.fft.fft(values)
+    spec *= h
+    stack = np.empty((count, values.shape[-1]), dtype=np.complex128)
+    for row, symbol in zip(stack, symbols):
+        np.multiply(spec[:half], symbol[half:], out=row[:half])
+        np.multiply(spec[half:], symbol[:half], out=row[half:])
+    del spec
+    np.fft.ifft(stack, out=stack)
+    stack /= h
+    return stack
 
 
 def apply_multiplier(sig: Signal, symbol: Spectrum) -> Signal:
     """Multiply the spectrum of ``sig`` by ``symbol`` and transform back."""
     _check_same_grid(sig, symbol)
     vals = sig.values.copy()
-    _multiply_rows(vals, np.fft.ifftshift(symbol.values), sig.grid.h)
+    _multiply_rows(vals, symbol.values, sig.grid.h)
     return Signal(sig.grid, vals)
 
 

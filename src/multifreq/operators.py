@@ -27,9 +27,9 @@ from .grid import (
     TorusGrid,
     _check_same_grid,
     _freeze,
+    _multiply_each,
     apply_multiplier,
-    forward_transform,
-    inverse_transform,
+    forward_transform,  # noqa: F401  unused; perfbench/tests wraps this binding
 )
 from .symbols import vr_layer_decompose
 
@@ -238,22 +238,9 @@ def vq_dk(
     else:
         for sym in symbols:
             _check_same_grid(f, sym)
-    samples = f.grid.samples
-    half = samples // 2
-    fhat = forward_transform(f).values
-    stack = np.empty((len(scale_range), samples), dtype=np.complex128)
-    for row, sym in zip(stack, symbols):
-        # each product goes straight to its place in FFT order, that of
-        # np.fft.ifftshift: ascending position p lands at (p - half) mod samples
-        np.multiply(fhat[half:], sym.values[half:], out=row[: samples - half])
-        np.multiply(fhat[:half], sym.values[:half], out=row[samples - half :])
-    del fhat
-    # one inverse transform for every scale; each row gets the bits of
-    # inverse_transform applied to it alone
-    np.fft.ifft(stack, out=stack)
-    stack /= f.grid.h
+    stack = _multiply_each(f.values, (s.values for s in symbols), f.grid.h, len(scale_range))
     # the stack's real and imaginary parts as (K, 2, samples) points, a view
-    pts = stack.view(np.float64).reshape(len(stack), samples, 2).transpose(0, 2, 1)
+    pts = stack.view(np.float64).reshape(len(stack), f.grid.samples, 2).transpose(0, 2, 1)
     out = variation_dp(pts, q)
     if mode == "nonhomogeneous":
         out = np.maximum(out, np.max(np.abs(stack), axis=0))
@@ -269,18 +256,16 @@ def sharp_maximal(
     grid = f.grid
     if scale_range is None:
         scale_range = default_scale_range(grid)
-    fhat = forward_transform(f)
-    out = np.zeros(grid.samples, dtype=np.float64)
-    for j in scale_range.scales():
+
+    def mask(j):
         rad = grid.tile_cells(j)
-        mask = np.zeros(grid.samples, dtype=bool)
+        out = np.zeros(grid.samples, dtype=bool)
         for n in sigma.indices:
-            lo = max(grid.slot(int(n) - rad), 0)
-            hi = min(grid.slot(int(n) + rad + 1), grid.samples)
-            mask[lo:hi] = True
-        proj = inverse_transform(Spectrum(grid, fhat.values * mask)).values
-        np.maximum(out, np.abs(proj), out=out)
-    return Signal(grid, out.astype(np.complex128))
+            out[max(grid.slot(int(n) - rad), 0) : grid.slot(int(n) + rad + 1)] = True
+        return out
+
+    stack = _multiply_each(f.values, map(mask, scale_range.scales()), grid.h, len(scale_range))
+    return Signal(grid, np.max(np.abs(stack), axis=0).astype(np.complex128))
 
 
 def rough_T(f: Signal, spec: RoughMultiplierSpec) -> Signal:
@@ -339,7 +324,7 @@ def delta_k(
     _check_same_grid(f, sigma)
     grid = f.grid
     if symbols is None:
-        return apply_multiplier(f, build_dk_symbol(sigma, k, "tiled"))
+        return dk_apply(f, sigma, k)
     tiles = dk_tiles(sigma, k)
     if len(symbols) != len(tiles):
         raise ValueError(f"expected {len(tiles)} symbols, one per occupied tile")

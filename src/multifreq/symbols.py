@@ -621,8 +621,7 @@ def windowed_expand(
     def rebuild(kept: np.ndarray) -> Signal:
         comb = np.zeros(m_samp, dtype=np.complex128)
         comb[sample_idx] = kept
-        comb_hat = forward_transform(Signal(grid, comb)).values
-        conv = inverse_transform(Spectrum(grid, comb_hat * synth)).values
+        conv = apply_multiplier(Signal(grid, comb), Spectrum(grid, synth)).values
         return Signal(grid, cs * conv * phase)
 
     reconstruction = rebuild(coeffs)

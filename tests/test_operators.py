@@ -341,6 +341,34 @@ def test_vq_dk_peaks_under_twice_its_stack(default_grid, rng):
     assert peak < 2 * len(sr) * g.samples * 16
 
 
+def _small_case(log_period, extra, seed):
+    """A small grid, a random frequency set of 1-3 points and a random signal."""
+    g = TorusGrid(2**log_period, 2 ** (log_period + extra))
+    rng = np.random.default_rng(seed)
+    half = g.samples // 2
+    idx = rng.choice(np.arange(-half + 1, half), int(rng.integers(1, 4)), replace=False)
+    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
+    return g, FrequencySet(g, idx), f
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 4),
+    st.sampled_from([2.0**600, 2.0**-600, 1e160, 1e-160]),
+    st.floats(2.0, 6.0, exclude_min=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_vq_dk_is_homogeneous_at_extreme_scales(log_period, extra, c, q, seed):
+    # squares of the scaled stack would overflow or underflow without the
+    # power-of-two rescale in variation_dp
+    g, sigma, f = _small_case(log_period, extra, seed)
+    for mode in ("homogeneous", "nonhomogeneous"):
+        want = c * vq_dk(f, sigma, q, mode=mode).values.real
+        got = vq_dk(f * c, sigma, q, mode=mode).values.real
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
 def test_vq_dk_monotone_in_range(default_grid, rng):
     g = default_grid
     f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
@@ -393,6 +421,37 @@ def test_sharp_maximal_matches_direct_recompute(default_grid, rng):
         total += proj
     assert np.max(np.abs(out - expect)) <= 1e-14 * max(expect.max(), 1.0)
     assert np.all(out <= total + 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_sharp_maximal_has_the_bytes_of_one_inverse_transform_per_scale(log_period, extra, seed):
+    g, sigma, f = _small_case(log_period, extra, seed)
+    sr = ScaleRange(seed % (g.finest_scale + 1), g.finest_scale)
+    fhat = forward_transform(f)
+    want = np.zeros(g.samples)
+    for j in sr.scales():
+        rad = g.tile_cells(j)
+        mask = np.zeros(g.samples, dtype=bool)
+        for n in sigma.indices:
+            mask[max(g.slot(int(n) - rad), 0) : min(g.slot(int(n) + rad + 1), g.samples)] = True
+        proj = inverse_transform(Spectrum(g, fhat.values * mask)).values
+        np.maximum(want, np.abs(proj), out=want)
+    assert sharp_maximal(f, sigma, sr).values.tobytes() == want.astype(np.complex128).tobytes()
+
+
+def test_sharp_maximal_peaks_under_twice_its_stack(default_grid, rng):
+    g = default_grid
+    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
+    sigma = FrequencySet(g, np.array([-512, 256, 3000]))
+    sharp_maximal(f, sigma)
+    tracemalloc.start()
+    try:
+        sharp_maximal(f, sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(default_scale_range(g)) * g.samples * 16
 
 
 def test_sharp_maximal_resolution(default_grid):
@@ -638,6 +697,14 @@ def test_delta_k_default_equals_tiled_window_sum(default_grid, rng):
     )
 
 
+def test_delta_k_default_has_the_bytes_of_dk_apply(default_grid, rng):
+    g = default_grid
+    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
+    sigma = FrequencySet(g, np.array([-4096, -512, 300, 301]))
+    for k in (0, 3, 7):
+        assert delta_k(f, sigma, k).values.tobytes() == dk_apply(f, sigma, k).values.tobytes()
+
+
 def test_delta_k_explicit_smooth_tiles(default_grid, rng):
     g = default_grid
     freqs = g.frequencies()
@@ -727,6 +794,22 @@ def test_corollary_smooth_bump_matches_analytic(rng):
         cc = corollary_constants({k: by_scale[k]}, sigma, 3.0)
         assert abs(cc.d2 - analytic) / analytic <= 0.05
     assert isinstance(corollary_constants(by_scale, sigma, 3.0), CorollaryConstants)
+
+
+def test_corollary_constants_scale_with_their_symbols(small_grid, rng):
+    g = small_grid
+    sigma = FrequencySet(g, np.array([-20, 3, 17]))
+    by_scale = {
+        k: [rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples)
+            for _ in dk_tiles(sigma, k)]
+        for k in (0, 1)
+    }
+    base = corollary_constants(by_scale, sigma, 3.0)
+    for c in (1e160, 2.0**-600):
+        symbols = {k: [c * a for a in arrs] for k, arrs in by_scale.items()}
+        scaled = corollary_constants(symbols, sigma, 3.0)
+        assert scaled.vt == pytest.approx(c * base.vt, rel=1e-12)
+        assert scaled.d2 == pytest.approx(c * base.d2, rel=1e-12)
 
 
 def test_corollary_validation(default_grid):

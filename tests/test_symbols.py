@@ -16,6 +16,7 @@ from multifreq.grid import (
     Signal,
     Spectrum,
     TorusGrid,
+    forward_transform,
     inverse_transform,
 )
 from multifreq.symbols import (
@@ -764,6 +765,27 @@ def test_windowed_identity_on_any_interval(omega, seed):
     m = EXPAND_GRID.samples
     f = Signal(EXPAND_GRID, rng.standard_normal(m) + 1j * rng.standard_normal(m))
     assert windowed_expand(f, omega).rel_error <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(expand_interval(), st.integers(0, 2**32 - 1))
+def test_windowed_reconstruction_has_the_bytes_of_the_transform_pair(omega, seed):
+    # the comb of kept coefficients, its spectrum times the synthesis
+    # window, transformed back, scaled and modulated
+    grid = EXPAND_GRID
+    rng = np.random.default_rng(seed)
+    m = grid.samples
+    f = Signal(grid, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    we = windowed_expand(f, omega, l_trunc=int(rng.integers(0, 4)))
+    synth, _ = symbols._synthesis_window(grid, 2.0**omega.k)
+    phase = np.exp(2j * np.pi * (we.xi_rep_index / grid.period) * grid.positions())
+    truncated = np.where(np.abs(we.l_offsets) <= we.l_trunc, we.coefficients, 0.0)
+    for got, kept in ((we.reconstruction, we.coefficients), (we.trunc_reconstruction, truncated)):
+        comb = np.zeros(m, dtype=np.complex128)
+        comb[(we.l_offsets * we.shift_cells) % m] = kept
+        comb_hat = forward_transform(Signal(grid, comb)).values
+        conv = inverse_transform(Spectrum(grid, comb_hat * synth)).values
+        assert got.values.tobytes() == (we.shift_cells * conv * phase).tobytes()
 
 
 def test_windowed_coefficients_match_pairing(default_grid):
