@@ -18,7 +18,9 @@ and that of its remainder's bytes with ``repr(source_norm)`` and
 hashes its coefficient, reconstruction and target bytes and
 ``repr(rel_error)``.  The suites, their configs, the decompose inputs
 and the pass seeds come from ``perfbench/workloads.py``, which is only
-read.  ``--suites`` defaults to all four workloads.  The library is
+read.  ``--suites`` defaults to all four workloads.  ``--workers`` is
+passed to ``run_suite``, which spreads whole N's over that many threads,
+so ``--workers 2`` checks the pool against a serial run.  The library is
 imported from ``PYTHONPATH``, so the same script checks any tree:
 
     PYTHONPATH=src python3 scripts/suite_digests.py --seeds 0-9 --passes 10 > new.txt

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DyadicFreqInterval, FrequencySet, Spectrum, TorusGrid
+from .grid import DyadicFreqInterval, FrequencySet, Spectrum
 
 __all__ = [
     "smoothstep",
@@ -84,20 +84,6 @@ def dk_tiles(sigma: FrequencySet, k: int) -> list[DyadicFreqInterval]:
     ]
 
 
-def _add_scaled_window(acc: np.ndarray, grid: TorusGrid, center_idx: int, k: int) -> None:
-    # adds phi((xi - xi_c) * 2^k) over its lattice support, clipped to the band;
-    # the support half-width 0.5 * 2^-k is half a tile
-    w = grid.tile_cells(k) // 2
-    nyq = grid.samples // 2
-    lo = max(center_idx - w, -nyq)
-    hi = min(center_idx + w, nyq - 1)
-    if lo > hi:
-        return
-    n = np.arange(lo, hi + 1)
-    xi_rel = (n - center_idx) / grid.period
-    acc[grid.slot(n)] += bump_profile("phi", xi_rel * 2.0 ** k)
-
-
 def build_dk_symbol(sigma: FrequencySet, k: int, variant: str = "tiled") -> Spectrum:
     """Symbol of the scale-k window sum over a frequency set.
 
@@ -107,16 +93,22 @@ def build_dk_symbol(sigma: FrequencySet, k: int, variant: str = "tiled") -> Spec
     smallest set frequency.
     """
     grid = sigma.grid
-    grid.tile_cells(k)  # raises ResolutionError below the lattice step
-    acc = np.zeros(grid.samples, dtype=np.float64)
+    w = grid.tile_cells(k) // 2  # raises ResolutionError below the lattice step
     if variant == "separated":
         if not sigma.separated:
             raise ValueError("separated variant requires a 1-separated frequency set")
-        for n in sigma.indices:
-            _add_scaled_window(acc, grid, int(n), k)
+        centers = [int(n) for n in sigma.indices]
     elif variant == "tiled":
-        for tile in dk_tiles(sigma, k):
-            _add_scaled_window(acc, grid, tile.xi_rep_index, k)
+        centers = [tile.xi_rep_index for tile in dk_tiles(sigma, k)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    # phi((xi - xi_c) * 2^k) on its lattice support, half a tile either side
+    # of a center; it is evaluated once and added at each center, clipped
+    # to the band
+    window = bump_profile("phi", np.arange(-w, w + 1) / grid.period * 2.0**k)
+    nyq = grid.samples // 2
+    acc = np.zeros(grid.samples, dtype=np.float64)
+    for c in centers:
+        lo, hi = max(c - w, -nyq), min(c + w + 1, nyq)
+        acc[grid.slot(lo) : grid.slot(hi)] += window[lo - c + w : hi - c + w]
     return Spectrum(grid, acc.astype(np.complex128))

@@ -2,10 +2,10 @@
 
 The variational composites are sublinear, so their norms are estimated
 from below by maxima over structured input families rather than by power
-iteration.  Every trial derives its generator from (master seed, point
-size, trial index), so a trial's input depends only on (seed, N, trial)
-and the estimates are independent of execution order: a work pool of any
-width reproduces the serial numbers exactly.
+iteration.  An N's plan and trials take their generators from (master
+seed, N) and (master seed, N, trial index) alone, so ``run_suite`` can
+hand whole N's to its workers in any order and write the same bytes; the
+trials of one N run serially.
 
 Work is split in two.  ``_build_setup`` makes one frozen plan per N: the
 sampled frequency set or interval spec, the scale-window symbol stack
@@ -24,6 +24,7 @@ trial does the same arithmetic, in the same order, as it would alone.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -69,6 +70,13 @@ _MIN_LANE = 8  # cells in the narrowest lane of a rough spec
 _WEAK_ATOM_LOG2 = 8  # log2 of the widest weak-family atom
 
 
+def _as_int(name: str, value) -> int:
+    # numpy integers pass; a float is refused even when it is whole
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _setup_rng(seed: int, n: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n, 0]))
 
@@ -77,11 +85,14 @@ def _trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n, 1, trial]))
 
 
+def _separated_slots(grid: TorusGrid) -> np.ndarray:
+    # the samples/period - 1 unit-spaced lattice indices strictly inside the band
+    return np.arange(grid.period - grid.samples // 2, grid.samples // 2, grid.period)
+
+
 def sample_separated_set(grid: TorusGrid, n: int, rng: np.random.Generator) -> FrequencySet:
     """n frequencies on unit-spaced slots, so the set is 1-separated."""
-    p = grid.period
-    half = grid.samples // 2
-    slots = np.arange(-half + p, half - p + 1, p)
+    slots = _separated_slots(grid)
     if n > slots.size:
         raise ValueError(f"cannot place {n} separated frequencies on this grid")
     pick = rng.choice(slots.size, size=n, replace=False)
@@ -128,7 +139,7 @@ class _Plan:
     gaussian family paints, and the representative frequencies the sign
     family combines."""
 
-    apply: Callable[[np.ndarray, Callable], None]
+    apply: Callable[[np.ndarray], None]
     zones: tuple[tuple[int, int], ...]
     reps: np.ndarray
 
@@ -144,14 +155,13 @@ def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, seed: int) -> _P
             (max(int(c) - halfw, -half), min(int(c) + halfw + 1, half)) for c in sigma.indices
         )
 
-        def apply(rows, run):
+        def apply(rows):
             # vq_dk is not linear, so it takes one row at a time, through
             # this module's binding so that wrappers installed on it see
-            # every call
-            def one(i):
+            # every call; Signal freezes the view it is given, so each row
+            # is indexed afresh for the write
+            for i in range(len(rows)):
                 rows[i] = vq_dk(Signal(grid, rows[i]), sigma, q, symbols=stack).values
-
-            list(run(one, range(len(rows))))
 
         return _Plan(apply, zones, sigma.indices)
     spec = sample_rough_spec(grid, n, rng, with_symbols=(op_id == "rvar_M"))
@@ -159,7 +169,7 @@ def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, seed: int) -> _P
     # transform pair, with the bits of one call per trial
     symbol = spec.assembled_symbol().values
     reps = np.array([(lo + hi) // 2 for lo, hi in spec.intervals])
-    return _Plan(lambda rows, run: _multiply_rows(rows, symbol, grid.h), spec.intervals, reps)
+    return _Plan(lambda rows: _multiply_rows(rows, symbol, grid.h), spec.intervals, reps)
 
 
 def _gaussian_zone_input(grid: TorusGrid, zones, rng) -> Signal:
@@ -235,16 +245,13 @@ def weak_lambda_scan(values, h: float, norm1: float, n_lambda: int = 64) -> floa
     return float(np.max(lam * h * counts) / norm1)
 
 
-def _run_trials(
-    plan: _Plan,
-    grid: TorusGrid,
-    n: int,
-    trials: int,
-    seed: int,
-    family: str,
-    workers: int,
-    weak: bool,
-) -> tuple[float, str]:
+def _run_trials(config: ExperimentConfig, n: int) -> ScalingRow:
+    """N's row: build its plan, run its trials in blocks, keep the best."""
+    kind, op_id = _EXPERIMENTS[config.experiment]
+    grid, trials, seed, family = config.grid(), config.trials, config.seed, config.family
+    weak = kind == "weak"
+    plan = _build_setup(op_id, grid, n, float(config.q), seed)
+
     def label_of(trial: int) -> str:
         if weak:
             return "delta-or-atom"
@@ -271,29 +278,21 @@ def _run_trials(
             return weak_lambda_scan(row, grid.h, denom), label
         return Signal(grid, row).norm2() / denom, label
 
-    def blocks(run):
-        # one buffer for every block of this N; a block's rows are its
-        # inputs until the plan maps them to its outputs
-        buf = np.empty((min(trials, TRIAL_BLOCK), grid.samples), dtype=np.complex128)
-        results = []
-        for start in range(0, trials, TRIAL_BLOCK):
-            block = range(start, min(start + TRIAL_BLOCK, trials))
-            rows = buf[: len(block)]
-            signed = [t for t in block if label_of(t) == "signs"]
-            made = _sign_combo_block(grid, plan.reps, [_trial_rng(seed, n, t) for t in signed])
-            inputs = dict(zip(signed, made))
-            denoms = list(run(load, block, rows, [inputs.get(t) for t in block]))
-            plan.apply(rows, run)
-            results.extend(run(score, block, rows, denoms))
-        return results
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = blocks(pool.map)
-    else:
-        results = blocks(map)
+    # one buffer for every block of this N; a block's rows are its
+    # inputs until the plan maps them to its outputs
+    buf = np.empty((min(trials, TRIAL_BLOCK), grid.samples), dtype=np.complex128)
+    results = []
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = range(start, min(start + TRIAL_BLOCK, trials))
+        rows = buf[: len(block)]
+        signed = [t for t in block if label_of(t) == "signs"]
+        made = _sign_combo_block(grid, plan.reps, [_trial_rng(seed, n, t) for t in signed])
+        inputs = dict(zip(signed, made))
+        denoms = list(map(load, block, rows, [inputs.get(t) for t in block]))
+        plan.apply(rows)
+        results.extend(map(score, block, rows, denoms))
     best = max(range(trials), key=lambda i: (results[i][0], -i))
-    return results[best]
+    return ScalingRow(n, results[best][0], trials, results[best][1])
 
 
 class FitResult(NamedTuple):
@@ -368,26 +367,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment id {self.experiment!r}")
-        ns = tuple(sorted(set(int(n) for n in self.n_list)))
+        kind, op_id = _EXPERIMENTS[self.experiment]
+        ns = tuple(sorted(set(_as_int("every N", n) for n in self.n_list)))
         if len(ns) < 4:
             raise ValueError("scaling fits need at least 4 points in n_list")
         if ns[0] < 2:
             raise ValueError("point sizes start at 2")
         object.__setattr__(self, "n_list", ns)
-        if self.trials < 1:
+        if _as_int("trials", self.trials) < 1:
             raise ValueError("trials must be at least 1")
-        if self.seed < 0:
+        if _as_int("seed", self.seed) < 0:
             raise ValueError("seed must be nonnegative")
-        self.grid()  # raises ValueError for a grid TorusGrid rejects
-        if ns[-1] * self.grid_period > self.grid_samples // 2:
-            raise ValueError("largest N exceeds the separated-frequency budget")
-        if _EXPERIMENTS[self.experiment][1] == "vq_dk" and not 2 < self.q < math.inf:
+        grid = self.grid()  # raises ValueError for a grid TorusGrid rejects
+        if op_id == "vq_dk" and not 2 < self.q < math.inf:
             raise ValueError("variation exponent q must exceed 2 and be finite")
         if self.family != "all" and self.family not in _STRONG_FAMILIES:
             raise ValueError(f"unknown input family {self.family!r}")
-        kind, op_id = _EXPERIMENTS[self.experiment]
         if op_id == "vq_dk":
-            default_scale_range(self.grid())  # raises ValueError at grid_period 1
+            if ns[-1] > _separated_slots(grid).size:
+                raise ValueError(f"cannot place {ns[-1]} separated frequencies on this grid")
+            default_scale_range(grid)  # raises ValueError at grid_period 1
         elif self.grid_samples // ns[-1] < _MIN_LANE:
             raise ValueError(f"cannot place {ns[-1]} disjoint intervals on this grid")
         if kind == "weak" and self.grid_samples < 2**_WEAK_ATOM_LOG2:
@@ -428,24 +427,21 @@ class ScalingReport:
 
 def run_suite(config: ExperimentConfig, workers: int = 1) -> ScalingReport:
     """Run one named experiment over the N list and write the estimates,
-    the fit and a manifest into the output directory."""
-    kind, op_id = _EXPERIMENTS[config.experiment]
-    grid = config.grid()
-    rows = []
-    for n in config.n_list:
-        # no name holds the plan, so one N's symbols are freed before the
-        # next N's are built
-        est, desc = _run_trials(
-            _build_setup(op_id, grid, n, float(config.q), config.seed),
-            grid,
-            n,
-            config.trials,
-            config.seed,
-            config.family,
-            workers,
-            weak=(kind == "weak"),
-        )
-        rows.append(ScalingRow(n, est, config.trials, desc))
+    the fit and a manifest into the output directory.
+
+    Each of ``workers`` threads takes whole N's, and rows depend only on
+    (seed, N), so every worker count writes the same bytes; one worker
+    starts no thread.  Up to ``workers`` plans and (``TRIAL_BLOCK``,
+    samples) block buffers, 4 MiB each on the default grid, are alive at
+    once."""
+    if _as_int("workers", workers) < 1:
+        raise ValueError("workers must be at least 1")
+    # each plan dies with its _run_trials call, before its worker's next N
+    if workers == 1:
+        rows = [_run_trials(config, n) for n in config.n_list]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_run_trials, [config] * len(config.n_list), config.n_list))
     if any(r.estimate <= 0.0 for r in rows):
         fit = FitResult(0.0, 0.0, 0.0, 0.0, "none", True)
     else:

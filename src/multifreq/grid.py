@@ -23,6 +23,7 @@ kernels every multiplier goes through, ``_multiply_rows`` and ``_multiply_each``
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,8 @@ __all__ = [
 ]
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_pow2(n) -> bool:
+    return isinstance(n, numbers.Integral) and n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ second derivative is assumed anywhere, the bound is measured on the lattice.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifreq import (
     BUMP_SHAPES,
@@ -181,3 +182,45 @@ def test_symbol_scale_validation(sigma_grid):
         build_dk_symbol(sigma, 8)
     with pytest.raises(ValueError):
         build_dk_symbol(sigma, 0, variant="boxcar")
+
+
+def per_center_symbol(sigma, k, variant):
+    """The symbol with phi evaluated afresh at every center, over that
+    center's support clipped to the band."""
+    grid = sigma.grid
+    if variant == "separated":
+        centers = [int(n) for n in sigma.indices]
+    else:
+        centers = [tile.xi_rep_index for tile in dk_tiles(sigma, k)]
+    w = grid.tile_cells(k) // 2
+    nyq = grid.samples // 2
+    acc = np.zeros(grid.samples, dtype=np.float64)
+    for c in centers:
+        lo, hi = max(c - w, -nyq), min(c + w, nyq - 1)
+        if lo > hi:
+            continue
+        n = np.arange(lo, hi + 1)
+        acc[grid.slot(n)] += bump_profile("phi", (n - c) / grid.period * 2.0 ** k)
+    return acc.astype(np.complex128)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(2, 4), st.sampled_from(["tiled", "separated"]))
+def test_symbol_has_the_bytes_of_a_window_made_per_center(data, log_period, extra, variant):
+    # centers near the band edges clip their window; in the separated
+    # variant, k below 0 makes windows as wide as the band (tiles that
+    # wide would leave it)
+    grid = TorusGrid(period=2**log_period, samples=2 ** (log_period + extra))
+    nyq = grid.samples // 2
+    if variant == "separated":
+        slots = range(-(nyq // grid.period) + 1, nyq // grid.period)
+        picks = data.draw(st.lists(st.sampled_from(slots), min_size=1, max_size=8, unique=True))
+        indices = [m * grid.period for m in picks]
+    else:
+        indices = data.draw(
+            st.lists(st.integers(-nyq + 1, nyq - 1), min_size=1, max_size=12, unique=True)
+        )
+    sigma = FrequencySet(grid, np.array(indices))
+    k = data.draw(st.integers(-2 if variant == "separated" else 0, grid.finest_scale))
+    got = build_dk_symbol(sigma, k, variant).values
+    assert got.tobytes() == per_center_symbol(sigma, k, variant).tobytes()

@@ -1,6 +1,8 @@
 """Seeded norm estimation, scaling fits and the run_suite outputs."""
 
+import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -161,12 +163,22 @@ def test_unknown_family_is_rejected():
         ),
         ({"experiment": "rough-mult-scaling", "grid_period": 4, "grid_samples": 128}, "256"),
         ({"experiment": "weak11-scaling", "grid_period": 1, "grid_samples": 512}, "scale range"),
+        ({"n_list": (2, 4, 8, 64)}, "64 separated frequencies"),
+        ({"experiment": "weak11-scaling", "n_list": (2, 4, 8, 64)}, "64 separated frequencies"),
+        ({"experiment": "rough-mult-scaling", "n_list": (2, 4, 8, 256)}, "256 disjoint intervals"),
+        ({"trials": 2.0}, "trials must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"n_list": (2.5, 4, 8, 16)}, "every N must be an integer"),
+        ({"grid_period": 16.0}, "power of two"),
+        ({"grid_samples": 1024.0}, "power of two"),
     ],
     ids=[
         "unknown-experiment", "three-points", "period-3", "vq-l2-q-2", "weak11-q-2",
         "vq-l2-q-inf", "vq-l2-q-nan",
         "vq-l2-sign-envelope", "rvar-sign-envelope", "rvar-narrow-lanes",
         "rough-wide-weak-atoms", "weak11-no-scales",
+        "vq-l2-no-slot-left", "weak11-no-slot-left", "rough-lane-too-narrow",
+        "float-trials", "float-seed", "float-n", "float-period", "float-samples",
     ],
 )
 def test_config_rejects_what_run_suite_cannot_run(change, match):
@@ -174,6 +186,41 @@ def test_config_rejects_what_run_suite_cannot_run(change, match):
     kw = {"experiment": "vq-l2-scaling", "grid_period": 16, "grid_samples": 2**10, "n_list": N_LIST}
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(**{**kw, **change})
+
+
+@pytest.mark.parametrize(
+    "experiment, period, samples, n_max",
+    [
+        ("vq-l2-scaling", 16, 2**10, 63),
+        ("weak11-scaling", 16, 2**10, 63),
+        ("rough-mult-scaling", 16, 2**10, 128),
+        ("rvar-mult", 16, 2**10, 128),
+        ("rough-mult-scaling", 128, 2**15, 256),
+    ],
+)
+def test_config_accepts_every_n_its_generator_can_place(experiment, period, samples, n_max):
+    # samples/period - 1 separated slots for vq_dk, lanes of 8 cells for
+    # the rough specs
+    config = ExperimentConfig(
+        experiment, grid_period=period, grid_samples=samples, n_list=(2, 4, 8, n_max)
+    )
+    assert config.n_list[-1] == n_max
+
+
+def test_config_and_run_suite_take_numpy_integers(tmp_path):
+    config = ExperimentConfig(
+        "rough-mult-scaling", grid_period=np.int64(16), grid_samples=np.int64(2**10),
+        n_list=np.array(N_LIST), trials=np.int64(2), seed=np.uint32(3), out_dir=str(tmp_path),
+    )
+    assert config.n_list == N_LIST
+    assert [r.n for r in run_suite(config, workers=np.int64(2)).rows] == list(N_LIST)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.0])
+def test_run_suite_rejects_a_worker_count_it_cannot_use(tmp_path, workers):
+    config = ExperimentConfig("rough-mult-scaling", n_list=N_LIST, out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="workers"):
+        run_suite(config, workers=workers)
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,14 +231,19 @@ def test_config_rejects_what_run_suite_cannot_run(change, match):
     st.integers(5, 10),
     st.integers(1, 4),
     st.integers(0, 2),
+    st.integers(0, 1),
 )
 def test_a_config_that_constructs_runs(
-    tmp_path_factory, experiment, family, log_period, log_samples, trials, shrink
+    tmp_path_factory, experiment, family, log_period, log_samples, trials, shrink, over
 ):
-    # small grids near every generator's limit: each config is either
-    # rejected up front or runs to the end
+    # small grids near every generator's limit, at it and one past it:
+    # samples/period - 1 separated slots for vq_dk, lanes of 8 cells for
+    # the rough specs; each config is either rejected up front or runs to
+    # the end
     period, samples = 2**log_period, 2**log_samples
-    n_max = max(samples // (2 * period) // 2**shrink, 16)
+    vq = mx._EXPERIMENTS[experiment][1] == "vq_dk"
+    limit = samples // period - 1 if vq else samples // 8
+    n_max = max((limit >> shrink) + over, 16)
     try:
         config = ExperimentConfig(
             experiment,
@@ -223,8 +275,9 @@ def test_q_is_free_where_no_variation_is_taken(experiment):
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_run_suite_bytes_do_not_depend_on_workers(tmp_path, experiment):
+    # 5 workers are more than the N's
     written = []
-    for workers in (1, 2):
+    for workers in (1, 2, 5):
         out = tmp_path / f"workers{workers}"
         config = ExperimentConfig(
             experiment,
@@ -238,7 +291,27 @@ def test_run_suite_bytes_do_not_depend_on_workers(tmp_path, experiment):
         run_suite(config, workers=workers)
         names = (f"{experiment}.csv", f"{experiment}_fit.csv", "manifest.txt")
         written.append([(out / name).read_bytes() for name in names])
-    assert written[0] == written[1]
+    assert written[0] == written[1] == written[2]
+
+
+def test_workers_run_whole_ns_at_once(tmp_path, monkeypatch):
+    # the first two N's each wait until the other has started, so the run
+    # ends only if two N's run at the same time
+    barrier = threading.Barrier(2, timeout=10)
+    calls = itertools.count()
+    run_trials = mx._run_trials
+
+    def meet_then_run(*args, **kwargs):
+        if next(calls) < 2:
+            barrier.wait()
+        return run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(mx, "_run_trials", meet_then_run)
+    config = ExperimentConfig(
+        "rough-mult-scaling", grid_period=16, grid_samples=2**10, n_list=N_LIST, trials=2,
+        out_dir=str(tmp_path),
+    )
+    assert [r.n for r in run_suite(config, workers=2).rows] == list(N_LIST)
 
 
 def test_fit_recovers_a_planted_power():
