@@ -56,12 +56,9 @@ from .symbols import (
     windowed_expand,
 )
 from .operators import (
-    CorollaryConstants,
     RoughMultiplierSpec,
     ScaleRange,
-    corollary_constants,
     default_scale_range,
-    delta_k,
     dk_apply,
     rough_T,
     rvar_M,

@@ -379,6 +379,8 @@ class ExperimentConfig:
         if _as_int("seed", self.seed) < 0:
             raise ValueError("seed must be nonnegative")
         grid = self.grid()  # raises ValueError for a grid TorusGrid rejects
+        if not isinstance(self.q, numbers.Real):
+            raise ValueError(f"q must be a real number, got {self.q!r}")
         if op_id == "vq_dk" and not 2 < self.q < math.inf:
             raise ValueError("variation exponent q must exceed 2 and be finite")
         if self.family != "all" and self.family not in _STRONG_FAMILIES:

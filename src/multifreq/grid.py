@@ -391,7 +391,7 @@ def signal_from_csv(grid: TorusGrid, path) -> Signal:
             if not 0 <= i < grid.samples or seen[i]:
                 raise ValueError(f"index {i} is outside [0, {grid.samples}) or repeated")
             seen[i] = True
-            vals[i] = float(re_s) + 1j * float(im_s)
+            vals[i] = complex(float(re_s), float(im_s))
     if not seen.all():
         raise ValueError(f"expected {grid.samples} rows, got {int(seen.sum())}")
     return Signal(grid, vals)

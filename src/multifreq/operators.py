@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .bumps import build_dk_symbol, dk_tiles
-from .errors import ResolutionError, SymbolSupportError
+from .bumps import build_dk_symbol
+from .errors import SymbolSupportError
 from .fluctuation import variation_dp
 from .grid import (
     FrequencySet,
@@ -36,15 +35,12 @@ from .symbols import vr_layer_decompose
 __all__ = [
     "ScaleRange",
     "RoughMultiplierSpec",
-    "CorollaryConstants",
     "default_scale_range",
     "dk_apply",
     "vq_dk",
     "sharp_maximal",
     "rough_T",
     "rvar_M",
-    "delta_k",
-    "corollary_constants",
 ]
 
 
@@ -69,27 +65,6 @@ class ScaleRange:
 def default_scale_range(grid: TorusGrid) -> ScaleRange:
     # every dyadic width from half a unit down to one lattice cell
     return ScaleRange(1, grid.finest_scale)
-
-
-def _lattice_symbol(grid: TorusGrid, raw, lo=0, hi=None, where="") -> np.ndarray:
-    """``raw`` as a complex full-lattice array of finite values.  Every
-    nonzero cell must sit in the array positions [lo, hi), the span that
-    ``where`` names in the error; without ``hi`` the span is the whole
-    lattice."""
-    arr = np.asarray(raw, dtype=np.complex128)
-    if arr.shape != (grid.samples,):
-        raise ValueError("symbols must live on the full lattice")
-    lo = max(math.ceil(lo), 0)
-    hi = grid.samples if hi is None else min(math.ceil(hi), grid.samples)
-    outside = (arr[:lo], arr[hi:])
-    if not np.isfinite(arr[lo:hi]).all():
-        raise ValueError("symbol values must be finite")
-    if any(v.any() for v in outside):
-        # NaN and inf are nonzero too, and they are refused as such
-        if not all(np.isfinite(v).all() for v in outside):
-            raise ValueError("symbol values must be finite")
-        raise SymbolSupportError(f"symbol is supported outside {where}")
-    return arr
 
 
 class _IntervalSymbols(Sequence):
@@ -177,13 +152,23 @@ class RoughMultiplierSpec:
                 raise ValueError("one symbol per interval required")
             vals = []
             for i, (lo, hi) in zip(order, ivs):
-                member = _lattice_symbol(grid, self.symbols[i], slot(lo), slot(hi), "its interval")
-                vals.append(_freeze(member[slot(lo) : slot(hi)].copy()))
+                member = np.asarray(self.symbols[i], dtype=np.complex128)
+                if member.shape != (grid.samples,):
+                    raise ValueError("symbols must live on the full lattice")
+                start, stop = slot(lo), slot(hi)
+                if not np.isfinite(member[start:stop]).all():
+                    raise ValueError("symbol values must be finite")
+                if member[:start].any() or member[stop:].any():
+                    # NaN and inf are nonzero too, and they are refused as such
+                    if not np.isfinite(member).all():
+                        raise ValueError("symbol values must be finite")
+                    raise SymbolSupportError("symbol is supported outside its interval")
+                vals.append(_freeze(member[start:stop].copy()))
                 del member  # one member on the full lattice at a time
                 # the bits of acc += member: off its interval the member is
                 # +-0.0, and adding +-0.0 to a cell that is not -0.0 (acc
                 # starts at +0.0, so no cell is) changes nothing
-                acc[slot(lo) : slot(hi)] += vals[-1]
+                acc[start:stop] += vals[-1]
             object.__setattr__(self, "symbols", _IntervalSymbols(grid, ivs, vals))
         object.__setattr__(self, "_assembled", Spectrum(grid, acc))
 
@@ -305,90 +290,3 @@ def rvar_M(
             start, span = layered.layer_span(j)
             acc[start : start + span.shape[0]] += span
     return apply_multiplier(f, Spectrum(grid, acc))
-
-
-def delta_k(
-    f: Signal,
-    sigma: FrequencySet,
-    k: int,
-    symbols: Sequence[np.ndarray] | None = None,
-) -> Signal:
-    """Scale-k tile multiplier: one symbol per dyadic tile of width 2^-k
-    meeting the frequency set, summed and applied.
-
-    With ``symbols`` omitted the tiles carry the standard smooth window,
-    which makes this the tiled scale-window operator.  Supplied symbols
-    must be supported inside the threefold concentric dilation of their
-    tile; the smooth default already needs that much room.
-    """
-    _check_same_grid(f, sigma)
-    grid = f.grid
-    if symbols is None:
-        return dk_apply(f, sigma, k)
-    tiles = dk_tiles(sigma, k)
-    if len(symbols) != len(tiles):
-        raise ValueError(f"expected {len(tiles)} symbols, one per occupied tile")
-    acc = np.zeros(grid.samples, dtype=np.complex128)
-    for tile, raw in zip(tiles, symbols):
-        lo_i, hi_i = tile.index_range()
-        span = hi_i - lo_i
-        center = grid.slot(0.5 * (lo_i + hi_i))
-        acc += _lattice_symbol(
-            grid, raw, center - 1.5 * span, center + 1.5 * span, "the dilated tile"
-        )
-    return apply_multiplier(f, Spectrum(grid, acc))
-
-
-class CorollaryConstants(NamedTuple):
-    vt: float
-    d2: float
-
-
-def corollary_constants(
-    symbols_by_scale: dict[int, Sequence[np.ndarray]],
-    sigma: FrequencySet,
-    t: float,
-) -> CorollaryConstants:
-    """Two constants controlling a family of tile symbols given at several
-    scales: the worst t-variation across scales of the assembled symbol
-    sampled at the set frequencies, and the scale-invariant second
-    difference bound sup over tiles of |tile|^2 |second derivative|.
-    """
-    if not 2 < t < math.inf:
-        raise ValueError("variation exponent t must exceed 2 and be finite")
-    if not symbols_by_scale:
-        raise ValueError("need symbols at one scale or more")
-    grid = sigma.grid
-    m_samp = grid.samples
-    scales = sorted(symbols_by_scale)
-    seq = np.zeros((len(scales), sigma.indices.size), dtype=np.complex128)
-    d2_val = 0.0
-    freq_step = 1.0 / grid.period
-    for row, k in enumerate(scales):
-        span = grid.tile_cells(k)
-        tiles = dk_tiles(sigma, k)
-        arrs = symbols_by_scale[k]
-        if len(arrs) != len(tiles):
-            raise ValueError(
-                f"scale {k}: expected {len(tiles)} symbols, one per occupied tile"
-            )
-        if span < 3:
-            raise ResolutionError(
-                f"scale 2^-{k} tiles span {span} cells; second differences need 3"
-            )
-        assembled = np.zeros(m_samp, dtype=np.complex128)
-        width = 2.0 ** (-k)
-        for tile, raw in zip(tiles, arrs):
-            arr = _lattice_symbol(grid, raw)
-            assembled += arr
-            lo, hi = tile.index_range()
-            seg = arr[grid.slot(lo) : grid.slot(hi)]
-            d2 = seg[2:] - 2.0 * seg[1:-1] + seg[:-2]
-            if d2.size:
-                cand = width**2 * float(np.max(np.abs(d2))) / freq_step**2
-                d2_val = max(d2_val, cand)
-        seq[row] = assembled[grid.slot(sigma.indices)]
-    # nonhomogeneous t-variation of each column, as variation_norm sums it
-    hom = variation_dp(np.stack((seq.real, seq.imag), axis=1), t)
-    vt = float(np.max(hom + np.max(np.abs(seq), axis=0)))
-    return CorollaryConstants(vt, float(d2_val))

@@ -171,6 +171,10 @@ def test_unknown_family_is_rejected():
         ({"n_list": (2.5, 4, 8, 16)}, "every N must be an integer"),
         ({"grid_period": 16.0}, "power of two"),
         ({"grid_samples": 1024.0}, "power of two"),
+        ({"q": "abc"}, "q must be a real number"),
+        ({"q": None}, "q must be a real number"),
+        ({"experiment": "rough-mult-scaling", "q": "abc"}, "q must be a real number"),
+        ({"experiment": "rvar-mult", "q": None}, "q must be a real number"),
     ],
     ids=[
         "unknown-experiment", "three-points", "period-3", "vq-l2-q-2", "weak11-q-2",
@@ -179,6 +183,7 @@ def test_unknown_family_is_rejected():
         "rough-wide-weak-atoms", "weak11-no-scales",
         "vq-l2-no-slot-left", "weak11-no-slot-left", "rough-lane-too-narrow",
         "float-trials", "float-seed", "float-n", "float-period", "float-samples",
+        "vq-l2-string-q", "vq-l2-none-q", "rough-string-q", "rvar-none-q",
     ],
 )
 def test_config_rejects_what_run_suite_cannot_run(change, match):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multifreq.bumps import bump_profile, dk_tiles, build_dk_symbol
+from multifreq.bumps import build_dk_symbol
 from multifreq.errors import GridMismatchError, ResolutionError, SymbolSupportError
 from multifreq.fluctuation import symbol_vr_norm, variation_dp
 from multifreq.grid import (
@@ -23,12 +23,9 @@ from multifreq.grid import (
 from multifreq.bumps import plateau_profile
 from multifreq.symbols import vr_layer_decompose
 from multifreq.operators import (
-    CorollaryConstants,
     RoughMultiplierSpec,
     ScaleRange,
-    corollary_constants,
     default_scale_range,
-    delta_k,
     dk_apply,
     rough_T,
     rvar_M,
@@ -52,23 +49,6 @@ def exhaustive_variation(seq, q, mode):
     if mode == "nonhomogeneous":
         val = max(val, max(abs(v) for v in seq))
     return val
-
-
-def smoothstep_second_derivative_max():
-    """Analytic second derivative of the ramp blend, maximized densely."""
-    t = np.linspace(1e-9, 1.0 - 1e-9, 2_000_001)
-    u = np.exp(-1.0 / t)
-    v = np.exp(-1.0 / (1.0 - t))
-    up = u / t**2
-    vp = -v / (1.0 - t) ** 2
-    den = u + v
-    dprime = up + vp
-    g = t**-2.0 + (1.0 - t) ** -2.0
-    gp = -2.0 * t**-3.0 + 2.0 * (1.0 - t) ** -3.0
-    num = u * v * g
-    nump = u * v * (t**-2.0 - (1.0 - t) ** -2.0) * g + u * v * gp
-    s2 = (nump * den - 2.0 * num * dprime) / den**3
-    return float(np.max(np.abs(s2)))
 
 
 def random_interval_symbol(grid, rng, lo, hi, kind):
@@ -122,6 +102,10 @@ def test_spec_validation(default_grid):
     leak[g.samples // 2 + 500] = 1.0
     with pytest.raises(SymbolSupportError):
         RoughMultiplierSpec(g, ((0, 100),), symbols=(leak,))
+    # a member off the full lattice is refused as such, not as a leak
+    for wrong in (np.ones(10), np.zeros(g.samples + 1)):
+        with pytest.raises(ValueError, match="full lattice"):
+            RoughMultiplierSpec(g, ((0, 10),), symbols=(wrong,))
     # coefficient count is checked before the sort reorders them
     for coef in (np.ones(3), np.ones(1), np.array([1.0, np.nan]), np.array([np.inf, 0.5])):
         with pytest.raises(ValueError):
@@ -683,144 +667,3 @@ def test_rvar_m_single_bump_cross_path(default_grid, rng):
     direct = rvar_M(f, spec, "direct", tol=1e-2)
     layered = rvar_M(f, spec, "layered", tol=1e-2)
     assert (direct - layered).norm2() <= 10.0 * 1e-2 * f.norm2()
-
-
-# ---------------------------------------------------------------------------
-# delta_k
-
-def test_delta_k_default_equals_tiled_window_sum(default_grid, rng):
-    g = default_grid
-    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
-    sigma = FrequencySet(g, np.array([-512, 300, 301]))
-    assert np.array_equal(
-        delta_k(f, sigma, 3).values, dk_apply(f, sigma, 3, "tiled").values
-    )
-
-
-def test_delta_k_default_has_the_bytes_of_dk_apply(default_grid, rng):
-    g = default_grid
-    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
-    sigma = FrequencySet(g, np.array([-4096, -512, 300, 301]))
-    for k in (0, 3, 7):
-        assert delta_k(f, sigma, k).values.tobytes() == dk_apply(f, sigma, k).values.tobytes()
-
-
-def test_delta_k_explicit_smooth_tiles(default_grid, rng):
-    g = default_grid
-    freqs = g.frequencies()
-    f = Signal(g, rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples))
-    sigma = FrequencySet(g, np.array([-512, 300]))
-    k = 3
-    symbols = [
-        bump_profile("phi", (freqs - t.xi_rep_index / g.period) * 2.0**k).astype(
-            np.complex128
-        )
-        for t in dk_tiles(sigma, k)
-    ]
-    out = delta_k(f, sigma, k, symbols)
-    expect = dk_apply(f, sigma, k, "tiled")
-    assert (out - expect).norm2() <= 1e-12 * f.norm2()
-
-
-def test_delta_k_away_spectrum_is_zero(default_grid):
-    g = default_grid
-    half = g.samples // 2
-    spec = np.zeros(g.samples, dtype=np.complex128)
-    spec[half - 8000 : half - 7900] = 1.0
-    f = inverse_transform(Spectrum(g, spec))
-    sigma = FrequencySet(g, np.array([2048]))
-    assert delta_k(f, sigma, 4).norm2() <= 1e-12 * f.norm2()
-
-
-def test_delta_k_support_violation(default_grid):
-    g = default_grid
-    f = Signal(g, np.zeros(g.samples, dtype=np.complex128))
-    sigma = FrequencySet(g, np.array([2048]))
-    bad = np.zeros(g.samples, dtype=np.complex128)
-    bad[g.samples // 2 - 8000] = 1.0
-    with pytest.raises(SymbolSupportError):
-        delta_k(f, sigma, 4, [bad])
-    with pytest.raises(ValueError):
-        delta_k(f, sigma, 4, [bad, bad])
-
-
-# ---------------------------------------------------------------------------
-# corollary constants
-
-def _tile_symbols(grid, sigma, k):
-    freqs = grid.frequencies()
-    return [
-        bump_profile("phi", (freqs - t.xi_rep_index / grid.period) * 2.0**k).astype(
-            np.complex128
-        )
-        for t in dk_tiles(sigma, k)
-    ]
-
-
-def test_corollary_constant_in_scale(default_grid):
-    sigma = FrequencySet(default_grid, np.array([-1024, 2048]))
-    by_scale = {k: _tile_symbols(default_grid, sigma, k) for k in (0, 1, 2)}
-    cc = corollary_constants(by_scale, sigma, 3.0)
-    # the window is 1 at each set frequency at every scale, so the
-    # homogeneous variation across scales vanishes and only the sup is left
-    assert cc.vt == 1.0
-
-
-def test_corollary_affine_second_difference(default_grid):
-    g = default_grid
-    half = g.samples // 2
-    sigma = FrequencySet(g, np.array([-1024]))
-    k = 2
-    symbols = []
-    for t in dk_tiles(sigma, k):
-        lo, hi = t.index_range()
-        arr = np.zeros(g.samples, dtype=np.complex128)
-        # dyadic slope and intercept keep the lattice values exact, so
-        # the second differences cancel to literal zero
-        arr[lo + half : hi + half] = np.arange(hi - lo) / 128.0 + 0.25
-        symbols.append(arr)
-    cc = corollary_constants({k: symbols}, sigma, 2.5)
-    assert cc.d2 == 0.0
-
-
-def test_corollary_smooth_bump_matches_analytic(rng):
-    # second differences of the scaled ramp against the closed form,
-    # on a lattice fine enough to resolve the ramp at all three scales
-    grid = TorusGrid(period=512, samples=2**15)
-    sigma = FrequencySet(grid, np.array([-2048, 4096]))
-    by_scale = {k: _tile_symbols(grid, sigma, k) for k in (0, 1, 2)}
-    analytic = smoothstep_second_derivative_max() * 16.0
-    for k in (0, 1, 2):
-        cc = corollary_constants({k: by_scale[k]}, sigma, 3.0)
-        assert abs(cc.d2 - analytic) / analytic <= 0.05
-    assert isinstance(corollary_constants(by_scale, sigma, 3.0), CorollaryConstants)
-
-
-def test_corollary_constants_scale_with_their_symbols(small_grid, rng):
-    g = small_grid
-    sigma = FrequencySet(g, np.array([-20, 3, 17]))
-    by_scale = {
-        k: [rng.standard_normal(g.samples) + 1j * rng.standard_normal(g.samples)
-            for _ in dk_tiles(sigma, k)]
-        for k in (0, 1)
-    }
-    base = corollary_constants(by_scale, sigma, 3.0)
-    for c in (1e160, 2.0**-600):
-        symbols = {k: [c * a for a in arrs] for k, arrs in by_scale.items()}
-        scaled = corollary_constants(symbols, sigma, 3.0)
-        assert scaled.vt == pytest.approx(c * base.vt, rel=1e-12)
-        assert scaled.d2 == pytest.approx(c * base.d2, rel=1e-12)
-
-
-def test_corollary_validation(default_grid):
-    sigma = FrequencySet(default_grid, np.array([0]))
-    symbols = {2: _tile_symbols(default_grid, sigma, 2)}
-    for t in (2.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            corollary_constants(symbols, sigma, t)
-    with pytest.raises(ValueError):
-        corollary_constants({}, sigma, 3.0)
-    with pytest.raises(ResolutionError):
-        corollary_constants({7: _tile_symbols(default_grid, sigma, 7)}, sigma, 3.0)
-    with pytest.raises(ValueError):
-        corollary_constants({2: []}, sigma, 3.0)
