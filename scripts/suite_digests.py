@@ -8,12 +8,15 @@ layered ``rvar_M`` call of each pass and prints two lines per member
 symbol, the digest of its ``layered_to_csv`` text (``layers_<i>.csv``)
 and that of its remainder's bytes with ``repr(source_norm)`` and
 ``j_max`` (``remainder_<i>``), and one line for the bytes of the
-``rvar_M`` output (``rvar_M_layered``).  It also replays the pass's
-``whitney_decompose`` + ``window_system`` call and prints one line
-(``window_system``) for every member's ``phi_lo``, ``window_lo``,
-``envelope``, ``slope`` and ``curvature`` reprs and its ``phi_values`` and
-``window_values`` bytes, in piece order, then ``slope_max``,
-``curvature_max`` and ``mollifier_diags``.  A last line
+``rvar_M`` output (``rvar_M_layered``).  It replays the pass's
+``mfcz_decompose`` + ``verify_mfcz`` call and prints one line (``mfcz``)
+for the bytes of the good part, each atom's ``start_cell``, ``n_cells``
+and ``b_values`` bytes in atom order, and ``repr`` of the ``CZReport``.
+It also replays the pass's ``whitney_decompose`` + ``window_system`` call
+and prints one line (``window_system``) for every member's ``phi_lo``,
+``window_lo``, ``envelope``, ``slope`` and ``curvature`` reprs and its
+``phi_values`` and ``window_values`` bytes, in piece order, then
+``slope_max``, ``curvature_max`` and ``mollifier_diags``.  A last line
 (``windowed_expand``) replays the pass's ``windowed_expand`` call and
 hashes its coefficient, reconstruction and target bytes and
 ``repr(rel_error)``.  The suites, their configs, the decompose inputs
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -66,10 +70,11 @@ def pass_digests(suite, pass_seed: int, workers: int) -> list[tuple[str, str]]:
 
 def decompose_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]:
     """(name, sha256) for each member's layer CSV and remainder, for the
-    layered ``rvar_M`` output, for the window system and for the windowed
-    expansion of one decompose pass; ``workers`` is unused."""
+    layered ``rvar_M`` output, for the mfcz atoms and report, for the
+    window system and for the windowed expansion of one decompose pass;
+    ``workers`` is unused."""
     mf = workloads.multifreq
-    grid, rng, f, _, _, shift, _ = work.inputs(pass_seed)
+    grid, rng, f, g, sigma, shift, _ = work.inputs(pass_seed)
     spec = workloads.mx.sample_rough_spec(grid, work.SPEC_N, rng, with_symbols=True)
     digests = []
     with tempfile.TemporaryDirectory() as out:
@@ -84,6 +89,13 @@ def decompose_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str
             digests.append((f"remainder_{i}", rest.hexdigest()))
     values = mf.rvar_M(f, spec, "layered", tol=work.LAYER_TOL).values
     digests.append(("rvar_M_layered", hashlib.sha256(values.tobytes()).hexdigest()))
+    dec = mf.mfcz_decompose(g, 0.5 * math.sqrt(work.MFCZ_N), sigma)
+    atoms = hashlib.sha256(dec.good.values.tobytes())
+    for atom in dec.atoms:
+        atoms.update(f" {atom.start_cell} {atom.n_cells} ".encode())
+        atoms.update(atom.b_values.tobytes())
+    atoms.update(repr(mf.verify_mfcz(dec)).encode())
+    digests.append(("mfcz", atoms.hexdigest()))
     skeleton = mf.whitney_decompose(grid, -work.OMEGA_HALF + shift, work.OMEGA_HALF + shift)
     system = mf.window_system(skeleton)
     windows = hashlib.sha256()

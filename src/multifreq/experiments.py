@@ -7,10 +7,10 @@ seed, N) and (master seed, N, trial index) alone, so ``run_suite`` can
 hand whole N's to its workers in any order and write the same bytes; the
 trials of one N run serially.
 
-Work is split in two.  ``_build_setup`` makes one frozen plan per N: the
-sampled frequency set or interval spec, the scale-window symbol stack
-for ``vq_dk``, and for ``rough_T``/``rvar_M`` the assembled symbol.  The
-trials then run in blocks of ``TRIAL_BLOCK``, through one complex
+Work is split in two.  An experiment's plan builder makes one frozen
+plan per N: the sampled frequency set and its scale-window symbols, or
+the interval spec and its assembled symbol.  The trials then run in
+blocks of ``TRIAL_BLOCK``, through one complex
 (``TRIAL_BLOCK``, samples) buffer that every block of the N
 reuses, ``TRIAL_BLOCK * samples * 16`` bytes.  A block computes each
 exponential its sign trials share once, writes its inputs into the
@@ -28,6 +28,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,13 +61,10 @@ __all__ = [
     "run_suite",
 ]
 
-_STRONG_FAMILIES = ("gaussian", "signs", "atom")
-
 # trials whose inputs are made together; bounds the memory of a block's
 # sign inputs for any trial count
 TRIAL_BLOCK = 8
 
-_MIN_LANE = 8  # cells in the narrowest lane of a rough spec
 _WEAK_ATOM_LOG2 = 8  # log2 of the widest weak-family atom
 
 
@@ -85,16 +83,24 @@ def _trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, n, 1, trial]))
 
 
-def _separated_slots(grid: TorusGrid) -> np.ndarray:
+def _separated_slots(grid: TorusGrid, n: int) -> np.ndarray:
     # the samples/period - 1 unit-spaced lattice indices strictly inside the band
-    return np.arange(grid.period - grid.samples // 2, grid.samples // 2, grid.period)
+    slots = np.arange(grid.period - grid.samples // 2, grid.samples // 2, grid.period)
+    if n > slots.size:
+        raise ValueError(f"cannot place {n} separated frequencies on this grid")
+    return slots
+
+
+def _lane_width(grid: TorusGrid, n: int) -> int:
+    lane = grid.samples // n
+    if lane < 8:  # cells in the narrowest lane
+        raise ValueError(f"cannot place {n} disjoint intervals on this grid")
+    return lane
 
 
 def sample_separated_set(grid: TorusGrid, n: int, rng: np.random.Generator) -> FrequencySet:
     """n frequencies on unit-spaced slots, so the set is 1-separated."""
-    slots = _separated_slots(grid)
-    if n > slots.size:
-        raise ValueError(f"cannot place {n} separated frequencies on this grid")
+    slots = _separated_slots(grid, n)
     pick = rng.choice(slots.size, size=n, replace=False)
     return FrequencySet(grid, np.sort(slots[pick]))
 
@@ -109,9 +115,7 @@ def sample_rough_spec(
     """n disjoint intervals in disjoint lanes, with unimodular
     coefficients or smooth dome symbols."""
     half = grid.samples // 2
-    lane = grid.samples // n
-    if lane < _MIN_LANE:
-        raise ValueError(f"cannot place {n} disjoint intervals on this grid")
+    lane = _lane_width(grid, n)
     ivs = []
     for i in range(n):
         base = -half + i * lane
@@ -144,27 +148,39 @@ class _Plan:
     reps: np.ndarray
 
 
-def _build_setup(op_id: str, grid: TorusGrid, n: int, q: float, seed: int) -> _Plan:
-    rng = _setup_rng(seed, n)
-    if op_id == "vq_dk":
-        sigma = sample_separated_set(grid, n, rng)
-        stack = tuple(build_dk_symbol(sigma, k) for k in default_scale_range(grid).scales())
-        halfw = grid.tile_cells(1) // 2
-        half = grid.samples // 2
-        zones = tuple(
-            (max(int(c) - halfw, -half), min(int(c) + halfw + 1, half)) for c in sigma.indices
-        )
+def _frequency_set_limits(grid: TorusGrid, n: int, q: float) -> None:
+    if not 2 < q < math.inf:
+        raise ValueError("variation exponent q must exceed 2 and be finite")
+    _separated_slots(grid, n)
+    default_scale_range(grid)  # raises ValueError at grid_period 1
 
-        def apply(rows):
-            # vq_dk is not linear, so it takes one row at a time, through
-            # this module's binding so that wrappers installed on it see
-            # every call; Signal freezes the view it is given, so each row
-            # is indexed afresh for the write
-            for i in range(len(rows)):
-                rows[i] = vq_dk(Signal(grid, rows[i]), sigma, q, symbols=stack).values
 
-        return _Plan(apply, zones, sigma.indices)
-    spec = sample_rough_spec(grid, n, rng, with_symbols=(op_id == "rvar_M"))
+def _frequency_set_plan(grid: TorusGrid, n: int, q: float, rng) -> _Plan:
+    sigma = sample_separated_set(grid, n, rng)
+    stack = tuple(build_dk_symbol(sigma, k) for k in default_scale_range(grid).scales())
+    halfw = grid.tile_cells(1) // 2
+    half = grid.samples // 2
+    zones = tuple(
+        (max(int(c) - halfw, -half), min(int(c) + halfw + 1, half)) for c in sigma.indices
+    )
+
+    def apply(rows):
+        # vq_dk is not linear, so it takes one row at a time, through
+        # this module's binding so that wrappers installed on it see
+        # every call; Signal freezes the view it is given, so each row
+        # is indexed afresh for the write
+        for i in range(len(rows)):
+            rows[i] = vq_dk(Signal(grid, rows[i]), sigma, q, symbols=stack).values
+
+    return _Plan(apply, zones, sigma.indices)
+
+
+def _interval_spec_limits(grid: TorusGrid, n: int, q: float) -> None:
+    _lane_width(grid, n)  # q is free: no variation is taken
+
+
+def _interval_spec_plan(grid: TorusGrid, n: int, q: float, rng, with_symbols=False) -> _Plan:
+    spec = sample_rough_spec(grid, n, rng, with_symbols=with_symbols)
     # rough_T and rvar_M (direct path) put the whole block through one
     # transform pair, with the bits of one call per trial
     symbol = spec.assembled_symbol().values
@@ -247,41 +263,23 @@ def weak_lambda_scan(values, h: float, norm1: float, n_lambda: int = 64) -> floa
 
 def _run_trials(config: ExperimentConfig, n: int) -> ScalingRow:
     """N's row: build its plan, run its trials in blocks, keep the best."""
-    kind, op_id = _EXPERIMENTS[config.experiment]
-    grid, trials, seed, family = config.grid(), config.trials, config.seed, config.family
-    weak = kind == "weak"
-    plan = _build_setup(op_id, grid, n, float(config.q), seed)
-
-    def label_of(trial: int) -> str:
-        if weak:
-            return "delta-or-atom"
-        return family if family != "all" else _STRONG_FAMILIES[trial % 3]
+    (_, input_norm, ratio), build, _ = _EXPERIMENTS[config.experiment]
+    grid, trials, seed, label_of = config.grid(), config.trials, config.seed, config._family_of
+    plan = build(grid, n, float(config.q), _setup_rng(seed, n))
+    gaussian = partial(_gaussian_zone_input, zones=plan.zones)
+    make = {"delta-or-atom": _weak_input, "gaussian": gaussian, "atom": _atom_input}
 
     def load(trial: int, row: np.ndarray, f: Signal | None) -> float:
         # write the trial's input into its row and return its denominator
         if f is None:
-            rng = _trial_rng(seed, n, trial)
-            if weak:
-                f = _weak_input(grid, rng)
-            elif label_of(trial) == "gaussian":
-                f = _gaussian_zone_input(grid, plan.zones, rng)
-            else:
-                f = _atom_input(grid, rng)
+            f = make[label_of(trial)](grid, rng=_trial_rng(seed, n, trial))
         row[:] = f.values
-        return f.norm1() if weak else f.norm2()
-
-    def score(trial: int, row: np.ndarray, denom: float) -> tuple[float, str]:
-        label = f"{label_of(trial)}[{trial}]"
-        if denom == 0.0:
-            return 0.0, label
-        if weak:
-            return weak_lambda_scan(row, grid.h, denom), label
-        return Signal(grid, row).norm2() / denom, label
+        return input_norm(f)
 
     # one buffer for every block of this N; a block's rows are its
     # inputs until the plan maps them to its outputs
     buf = np.empty((min(trials, TRIAL_BLOCK), grid.samples), dtype=np.complex128)
-    results = []
+    values = []
     for start in range(0, trials, TRIAL_BLOCK):
         block = range(start, min(start + TRIAL_BLOCK, trials))
         rows = buf[: len(block)]
@@ -290,9 +288,9 @@ def _run_trials(config: ExperimentConfig, n: int) -> ScalingRow:
         inputs = dict(zip(signed, made))
         denoms = list(map(load, block, rows, [inputs.get(t) for t in block]))
         plan.apply(rows)
-        results.extend(map(score, block, rows, denoms))
-    best = max(range(trials), key=lambda i: (results[i][0], -i))
-    return ScalingRow(n, results[best][0], trials, results[best][1])
+        values.extend(ratio(Signal(grid, row), denom) for row, denom in zip(rows, denoms))
+    best = max(range(trials), key=lambda i: (values[i], -i))
+    return ScalingRow(n, values[best], trials, f"{label_of(best)}[{best}]")
 
 
 class FitResult(NamedTuple):
@@ -338,12 +336,17 @@ def fit_scaling(rows) -> FitResult:
     return FitResult(alpha, r2p, beta, r2l, preferred, False)
 
 
-# experiment id -> (norm kind, operator id)
+# experiment id -> (norm, plan builder, the plan's limits at (grid, n, q),
+# which a config checks without sampling).  A norm is the input families
+# its trials cycle through, the norm d of an input, and the ratio of an
+# output y to d, 0 when d is.
+_WEAK = (("delta-or-atom",), Signal.norm1, lambda y, d: weak_lambda_scan(y.values, y.grid.h, d))
+_STRONG = (("gaussian", "signs", "atom"), Signal.norm2, lambda y, d: y.norm2() / d if d else 0.0)
 _EXPERIMENTS = {
-    "vq-l2-scaling": ("strong", "vq_dk"),
-    "weak11-scaling": ("weak", "vq_dk"),
-    "rough-mult-scaling": ("weak", "rough_T"),
-    "rvar-mult": ("strong", "rvar_M"),
+    "vq-l2-scaling": (_STRONG, _frequency_set_plan, _frequency_set_limits),
+    "weak11-scaling": (_WEAK, _frequency_set_plan, _frequency_set_limits),
+    "rough-mult-scaling": (_WEAK, _interval_spec_plan, _interval_spec_limits),
+    "rvar-mult": (_STRONG, partial(_interval_spec_plan, with_symbols=True), _interval_spec_limits),
 }
 
 
@@ -367,7 +370,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment id {self.experiment!r}")
-        kind, op_id = _EXPERIMENTS[self.experiment]
+        (families, _, _), _, limits = _EXPERIMENTS[self.experiment]
         ns = tuple(sorted(set(_as_int("every N", n) for n in self.n_list)))
         if len(ns) < 4:
             raise ValueError("scaling fits need at least 4 points in n_list")
@@ -381,26 +384,22 @@ class ExperimentConfig:
         grid = self.grid()  # raises ValueError for a grid TorusGrid rejects
         if not isinstance(self.q, numbers.Real):
             raise ValueError(f"q must be a real number, got {self.q!r}")
-        if op_id == "vq_dk" and not 2 < self.q < math.inf:
-            raise ValueError("variation exponent q must exceed 2 and be finite")
-        if self.family != "all" and self.family not in _STRONG_FAMILIES:
-            raise ValueError(f"unknown input family {self.family!r}")
-        if op_id == "vq_dk":
-            if ns[-1] > _separated_slots(grid).size:
-                raise ValueError(f"cannot place {ns[-1]} separated frequencies on this grid")
-            default_scale_range(grid)  # raises ValueError at grid_period 1
-        elif self.grid_samples // ns[-1] < _MIN_LANE:
-            raise ValueError(f"cannot place {ns[-1]} disjoint intervals on this grid")
-        if kind == "weak" and self.grid_samples < 2**_WEAK_ATOM_LOG2:
+        if self.family != "all" and self.family not in families:
+            raise ValueError(f"unknown input family {self.family!r} for {self.experiment}")
+        limits(grid, ns[-1], self.q)
+        drawn = {self._family_of(t) for t in range(min(self.trials, len(families)))}
+        if "delta-or-atom" in drawn and self.grid_samples < 2**_WEAK_ATOM_LOG2:
             raise ValueError(f"weak inputs need grid_samples >= {2**_WEAK_ATOM_LOG2}")
-        # family "all" draws a sign input from trial 1 on, and the sign
-        # envelope needs its plateau period/4 below period/2 - 1/2
-        signs = self.family == "signs" or (self.family == "all" and self.trials > 1)
-        if kind == "strong" and signs and self.grid_period <= 2:
+        # the sign envelope needs its plateau period/4 below period/2 - 1/2
+        if "signs" in drawn and self.grid_period <= 2:
             raise ValueError("sign inputs need grid_period > 2")
 
     def grid(self) -> TorusGrid:
         return TorusGrid(period=self.grid_period, samples=self.grid_samples)
+
+    def _family_of(self, trial: int) -> str:
+        (families, _, _), _, _ = _EXPERIMENTS[self.experiment]
+        return self.family if self.family != "all" else families[trial % len(families)]
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,8 @@ class DyadicFreqInterval:
 
 def _cell(v) -> str:
     """One output cell: flags as 0/1, floats to 17 significant digits (so
-    every double reads back exactly), anything else as ``str``."""
+    every non-NaN double reads back exactly; a NaN is written ``nan`` and
+    loses its sign and payload bits), anything else as ``str``."""
     # bool before int: str(True) is "True"
     if isinstance(v, (bool, np.bool_)):
         return str(int(v))

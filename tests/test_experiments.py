@@ -23,7 +23,15 @@ from multifreq.operators import rough_T, rvar_M, vq_dk
 
 N_LIST = (2, 4, 8, 16)
 SMALL = TorusGrid(16, 2**10)
-EXPERIMENTS = ["vq-l2-scaling", "weak11-scaling", "rough-mult-scaling", "rvar-mult"]
+# experiment -> (norm, operator), stated here so that the oracle does not
+# read the table it checks
+NORM_AND_OPERATOR = {
+    "vq-l2-scaling": ("strong", "vq_dk"),
+    "weak11-scaling": ("weak", "vq_dk"),
+    "rough-mult-scaling": ("weak", "rough_T"),
+    "rvar-mult": ("strong", "rvar_M"),
+}
+EXPERIMENTS = list(NORM_AND_OPERATOR)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +53,7 @@ def sign_combo_input(grid, reps, rng):
 def per_trial_rows(config):
     """(n, estimate, argmax) per N from a plain loop: a fresh generator per
     trial, each input made alone, and the operators applied with no plan."""
-    kind, op_id = mx._EXPERIMENTS[config.experiment]
+    kind, op_id = NORM_AND_OPERATOR[config.experiment]
     grid = config.grid()
     half = grid.samples // 2
     rows = []
@@ -112,14 +120,19 @@ def test_sign_block_matches_inputs_made_alone(reps, count, seed):
 
 
 @pytest.mark.parametrize(
-    "family, trials",
+    "experiment, family, trials",
     [
-        pytest.param(family, trials, id=family if trials == 20 else f"{family}-{trials}")
+        pytest.param(
+            experiment, family, trials,
+            id=f"{experiment}-{family}" + ("" if trials == 20 else f"-{trials}"),
+        )
+        for experiment in EXPERIMENTS
         for trials in (20, 1, 9)
         for family in ("all", "signs")
+        # a weak experiment draws only delta-or-atom inputs
+        if family == "all" or NORM_AND_OPERATOR[experiment][0] == "strong"
     ],
 )
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_run_suite_rows_match_a_per_trial_loop(tmp_path, experiment, family, trials):
     # 1 trial is a single partial block; 9 trials reuse the block buffer
     # for one row, over a stale one; 20 trials make three blocks, each
@@ -175,6 +188,8 @@ def test_unknown_family_is_rejected():
         ({"q": None}, "q must be a real number"),
         ({"experiment": "rough-mult-scaling", "q": "abc"}, "q must be a real number"),
         ({"experiment": "rvar-mult", "q": None}, "q must be a real number"),
+        ({"experiment": "weak11-scaling", "family": "signs"}, "family"),
+        ({"experiment": "rough-mult-scaling", "family": "gaussian"}, "family"),
     ],
     ids=[
         "unknown-experiment", "three-points", "period-3", "vq-l2-q-2", "weak11-q-2",
@@ -184,6 +199,7 @@ def test_unknown_family_is_rejected():
         "vq-l2-no-slot-left", "weak11-no-slot-left", "rough-lane-too-narrow",
         "float-trials", "float-seed", "float-n", "float-period", "float-samples",
         "vq-l2-string-q", "vq-l2-none-q", "rough-string-q", "rvar-none-q",
+        "weak11-signs-family", "rough-gaussian-family",
     ],
 )
 def test_config_rejects_what_run_suite_cannot_run(change, match):
@@ -200,16 +216,27 @@ def test_config_rejects_what_run_suite_cannot_run(change, match):
         ("weak11-scaling", 16, 2**10, 63),
         ("rough-mult-scaling", 16, 2**10, 128),
         ("rvar-mult", 16, 2**10, 128),
-        ("rough-mult-scaling", 128, 2**15, 256),
+        ("rough-mult-scaling", 128, 2**15, 4096),
     ],
 )
 def test_config_accepts_every_n_its_generator_can_place(experiment, period, samples, n_max):
     # samples/period - 1 separated slots for vq_dk, lanes of 8 cells for
-    # the rough specs
-    config = ExperimentConfig(
-        experiment, grid_period=period, grid_samples=samples, n_list=(2, 4, 8, n_max)
-    )
+    # the rough specs; one more N is refused with the same message by the
+    # config and by the experiment's sampler
+    kw = {"grid_period": period, "grid_samples": samples}
+    config = ExperimentConfig(experiment, n_list=(2, 4, 8, n_max), **kw)
     assert config.n_list[-1] == n_max
+    with pytest.raises(ValueError, match="cannot place") as refused:
+        ExperimentConfig(experiment, n_list=(2, 4, 8, n_max + 1), **kw)
+    grid, rng, op_id = config.grid(), np.random.default_rng(0), NORM_AND_OPERATOR[experiment][1]
+    with pytest.raises(ValueError) as sampled:
+        if op_id == "vq_dk":
+            mx.sample_separated_set(grid, n_max + 1, rng)
+        else:
+            mx.sample_rough_spec(grid, n_max + 1, rng, with_symbols=(op_id == "rvar_M"))
+    what = "separated frequencies" if op_id == "vq_dk" else "disjoint intervals"
+    message = f"cannot place {n_max + 1} {what} on this grid"
+    assert str(sampled.value) == str(refused.value) == message
 
 
 def test_config_and_run_suite_take_numpy_integers(tmp_path):
@@ -228,10 +255,16 @@ def test_run_suite_rejects_a_worker_count_it_cannot_use(tmp_path, workers):
         run_suite(config, workers=workers)
 
 
+# a weak experiment refuses every family but "all", so it draws no other:
+# a config that can never construct would only be filtered out
+FAMILIES = {"weak": ["all"], "strong": ["all", "gaussian", "signs", "atom"]}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(EXPERIMENTS),
-    st.sampled_from(["all", "gaussian", "signs", "atom"]),
+    st.sampled_from(EXPERIMENTS).flatmap(
+        lambda e: st.tuples(st.just(e), st.sampled_from(FAMILIES[NORM_AND_OPERATOR[e][0]]))
+    ),
     st.integers(0, 3),
     st.integers(5, 10),
     st.integers(1, 4),
@@ -239,14 +272,15 @@ def test_run_suite_rejects_a_worker_count_it_cannot_use(tmp_path, workers):
     st.integers(0, 1),
 )
 def test_a_config_that_constructs_runs(
-    tmp_path_factory, experiment, family, log_period, log_samples, trials, shrink, over
+    tmp_path_factory, experiment_family, log_period, log_samples, trials, shrink, over
 ):
     # small grids near every generator's limit, at it and one past it:
     # samples/period - 1 separated slots for vq_dk, lanes of 8 cells for
     # the rough specs; each config is either rejected up front or runs to
     # the end
+    experiment, family = experiment_family
     period, samples = 2**log_period, 2**log_samples
-    vq = mx._EXPERIMENTS[experiment][1] == "vq_dk"
+    vq = NORM_AND_OPERATOR[experiment][1] == "vq_dk"
     limit = samples // period - 1 if vq else samples // 8
     n_max = max((limit >> shrink) + over, 16)
     try:
