@@ -11,19 +11,19 @@ Work is split in two.  An experiment's plan builder makes one frozen
 plan per N: the sampled frequency set and its scale-window symbols, or
 the interval spec and its assembled symbol.  The trials then run in
 blocks of ``TRIAL_BLOCK``, through one complex
-(``TRIAL_BLOCK``, samples) buffer that every block of the N
-reuses, ``TRIAL_BLOCK * samples * 16`` bytes.  A block computes each
-exponential its sign trials share once, writes its inputs into the
-buffer's rows, and the plan maps the rows to their outputs in place:
-multiplier plans put the whole block through one transform pair instead
-of calling ``rough_T``/``rvar_M`` per trial, and ``vq_dk`` plans apply it
-row by row.  Plans and blocks share work but never change a bit: every
-trial does the same arithmetic, in the same order, as it would alone.
+(``TRIAL_BLOCK``, samples) buffer that every block of the N reuses,
+``TRIAL_BLOCK * samples * 16`` bytes, the only copy of a block's inputs.
+Each input is made in its trial's row; sign trials compute each shared
+exponential once and accumulate in their rows.  The plan maps the rows
+to their outputs in place: multiplier plans put the whole block through
+one transform pair instead of calling ``rough_T``/``rvar_M`` per trial,
+and ``vq_dk`` plans apply it row by row.  Plans and blocks share work but
+never change a bit: every trial does the same arithmetic, in the same
+order, as it would alone.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +47,8 @@ from .grid import (
 from .operators import (
     RoughMultiplierSpec,
     _IntervalSymbols,
+    _as_int,
+    _check_q,
     default_scale_range,
     vq_dk,
 )
@@ -66,13 +68,6 @@ __all__ = [
 TRIAL_BLOCK = 8
 
 _WEAK_ATOM_LOG2 = 8  # log2 of the widest weak-family atom
-
-
-def _as_int(name: str, value) -> int:
-    # numpy integers pass; a float is refused even when it is whole
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _setup_rng(seed: int, n: int) -> np.random.Generator:
@@ -149,8 +144,7 @@ class _Plan:
 
 
 def _frequency_set_limits(grid: TorusGrid, n: int, q: float) -> None:
-    if not 2 < q < math.inf:
-        raise ValueError("variation exponent q must exceed 2 and be finite")
+    _check_q(q)
     _separated_slots(grid, n)
     default_scale_range(grid)  # raises ValueError at grid_period 1
 
@@ -188,7 +182,7 @@ def _interval_spec_plan(grid: TorusGrid, n: int, q: float, rng, with_symbols=Fal
     return _Plan(lambda rows: _multiply_rows(rows, symbol, grid.h), spec.intervals, reps)
 
 
-def _gaussian_zone_input(grid: TorusGrid, zones, rng) -> Signal:
+def _gaussian_zone_input(grid: TorusGrid, zones, rng, row: np.ndarray) -> None:
     # paint a random block of one zone; narrow blocks probe the symbol
     # pointwise, wide ones probe it in the mean
     lo, hi = zones[int(rng.integers(len(zones)))]
@@ -198,49 +192,49 @@ def _gaussian_zone_input(grid: TorusGrid, zones, rng) -> Signal:
     spec = np.zeros(grid.samples, dtype=np.complex128)
     block = rng.standard_normal(w) + 1j * rng.standard_normal(w)
     spec[grid.slot(start) : grid.slot(start + w)] = block
-    return inverse_transform(Spectrum(grid, spec))
+    row[:] = inverse_transform(Spectrum(grid, spec)).values
 
 
-def _sign_combo_block(grid: TorusGrid, reps, rngs) -> list[Signal]:
+def _sign_combo_block(grid: TorusGrid, reps, rngs, rows) -> None:
     """One enveloped random-sign combination of e(n x), n in ``reps``, per
-    generator.  Each exponential is computed once for the whole block and
-    added into every accumulator in rep order, so each signal has the
-    bits it would have if made alone."""
+    generator, accumulated in its row of ``rows``.  Each exponential is
+    computed once for the whole block and added into every row in rep
+    order, so each row has the bits it would have if made alone."""
     if not rngs:
-        return []
+        return
     x = grid.positions()
     dist = np.minimum(x, grid.period - x)
     env = plateau_profile(dist, grid.period / 4.0, grid.period / 2.0 - 0.5)
-    accs = np.zeros((len(rngs), grid.samples), dtype=np.complex128)
     signs = [rng.choice(np.array([-1.0, 1.0]), size=len(reps)) for rng in rngs]
+    for row in rows:
+        row[:] = 0
     for j, n in enumerate(reps):
         e = np.exp(2j * np.pi * (int(n) / grid.period) * x)
-        for acc, s in zip(accs, signs):
-            acc += s[j] * e
-    return [Signal(grid, env * acc) for acc in accs]
+        for row, s in zip(rows, signs):
+            row += s[j] * e
+    for row in rows:
+        np.multiply(env, row, out=row)  # env * row, the order of the input made alone
 
 
-def _atom_input(grid: TorusGrid, rng) -> Signal:
+def _atom_input(grid: TorusGrid, rng, row: np.ndarray) -> None:
     m = grid.samples
     w = int(2 ** rng.integers(0, 4))
     start = int(rng.integers(0, m - w + 1))
-    vals = np.zeros(m, dtype=np.complex128)
-    vals[start : start + w] = np.exp(2j * np.pi * rng.random())
-    return Signal(grid, vals)
+    row[:] = 0
+    row[start : start + w] = np.exp(2j * np.pi * rng.random())
 
 
-def _weak_input(grid: TorusGrid, rng) -> Signal:
+def _weak_input(grid: TorusGrid, rng, row: np.ndarray) -> None:
     m = grid.samples
-    vals = np.zeros(m, dtype=np.complex128)
+    row[:] = 0
     phase = np.exp(2j * np.pi * rng.random())
     if int(rng.integers(2)) == 0:
-        vals[int(rng.integers(m))] = phase
+        row[int(rng.integers(m))] = phase
     else:
         w = 2 ** int(rng.integers(1, _WEAK_ATOM_LOG2 + 1))
         start = int(rng.integers(0, m - w + 1))
-        vals[start : start + w // 2] = phase
-        vals[start + w // 2 : start + w] = -phase
-    return Signal(grid, vals)
+        row[start : start + w // 2] = phase
+        row[start + w // 2 : start + w] = -phase
 
 
 def weak_lambda_scan(values, h: float, norm1: float, n_lambda: int = 64) -> float:
@@ -268,25 +262,21 @@ def _run_trials(config: ExperimentConfig, n: int) -> ScalingRow:
     plan = build(grid, n, float(config.q), _setup_rng(seed, n))
     gaussian = partial(_gaussian_zone_input, zones=plan.zones)
     make = {"delta-or-atom": _weak_input, "gaussian": gaussian, "atom": _atom_input}
-
-    def load(trial: int, row: np.ndarray, f: Signal | None) -> float:
-        # write the trial's input into its row and return its denominator
-        if f is None:
-            f = make[label_of(trial)](grid, rng=_trial_rng(seed, n, trial))
-        row[:] = f.values
-        return input_norm(f)
-
-    # one buffer for every block of this N; a block's rows are its
-    # inputs until the plan maps them to its outputs
+    # one buffer for every block of this N; a block's rows are its inputs,
+    # their only copy, until the plan maps them to its outputs.  A row
+    # holds an earlier block's values, so each maker overwrites all of it
     buf = np.empty((min(trials, TRIAL_BLOCK), grid.samples), dtype=np.complex128)
     values = []
     for start in range(0, trials, TRIAL_BLOCK):
         block = range(start, min(start + TRIAL_BLOCK, trials))
         rows = buf[: len(block)]
-        signed = [t for t in block if label_of(t) == "signs"]
-        made = _sign_combo_block(grid, plan.reps, [_trial_rng(seed, n, t) for t in signed])
-        inputs = dict(zip(signed, made))
-        denoms = list(map(load, block, rows, [inputs.get(t) for t in block]))
+        rngs = [_trial_rng(seed, n, t) for t in block]
+        signed = [i for i, t in enumerate(block) if label_of(t) == "signs"]
+        _sign_combo_block(grid, plan.reps, [rngs[i] for i in signed], [rows[i] for i in signed])
+        for t, rng, row in zip(block, rngs, rows):
+            if label_of(t) != "signs":
+                make[label_of(t)](grid, rng=rng, row=row)
+        denoms = [input_norm(Signal(grid, row)) for row in rows]
         plan.apply(rows)
         values.extend(ratio(Signal(grid, row), denom) for row, denom in zip(rows, denoms))
     best = max(range(trials), key=lambda i: (values[i], -i))
@@ -434,7 +424,8 @@ def run_suite(config: ExperimentConfig, workers: int = 1) -> ScalingReport:
     (seed, N), so every worker count writes the same bytes; one worker
     starts no thread.  Up to ``workers`` plans and (``TRIAL_BLOCK``,
     samples) block buffers, 4 MiB each on the default grid, are alive at
-    once."""
+    once; a buffer is the only copy of its block's inputs, and sign
+    trials accumulate in their rows."""
     if _as_int("workers", workers) < 1:
         raise ValueError("workers must be at least 1")
     # each plan dies with its _run_trials call, before its worker's next N

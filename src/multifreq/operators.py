@@ -11,6 +11,7 @@ is part of the object being measured, not an artifact to smooth away.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -65,6 +66,19 @@ class ScaleRange:
 def default_scale_range(grid: TorusGrid) -> ScaleRange:
     # every dyadic width from half a unit down to one lattice cell
     return ScaleRange(1, grid.finest_scale)
+
+
+def _as_int(name: str, value) -> int:
+    # numpy integers pass; a float is refused even when it is whole
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_q(q: float) -> None:
+    # written so that NaN fails too
+    if not 2 < q < math.inf:
+        raise ValueError("variation exponent q must exceed 2 and be finite")
 
 
 class _IntervalSymbols(Sequence):
@@ -125,7 +139,7 @@ class RoughMultiplierSpec:
         order = sorted(range(len(self.intervals)), key=lambda i: self.intervals[i][0])
         ivs = []
         for i in order:
-            lo, hi = (int(v) for v in self.intervals[i])
+            lo, hi = (_as_int("every interval bound", v) for v in self.intervals[i])
             if not (-half <= lo < hi <= half):
                 raise ValueError("interval outside the resolvable band")
             ivs.append((lo, hi))
@@ -208,8 +222,7 @@ def vq_dk(
     each k of the scale range in order, so callers applying one operator
     many times build the stack once.
     """
-    if not 2 < q < math.inf:
-        raise ValueError("variation exponent q must exceed 2 and be finite")
+    _check_q(q)
     if mode not in ("homogeneous", "nonhomogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_same_grid(f, sigma)

@@ -98,6 +98,13 @@ def test_spec_validation(default_grid):
             RoughMultiplierSpec(g, ((0, 100),), coefficients=np.ones(1), r=r)
     with pytest.raises(ValueError):
         RoughMultiplierSpec(g, ((0, 100_000),), coefficients=np.ones(1))
+    # a bound that is not an integer is refused, not truncated; numpy
+    # integers pass
+    for bounds in ((0.5, 10.7), (0, 10.0), (np.float64(0.0), 10)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RoughMultiplierSpec(g, (bounds,), coefficients=[1])
+    spec = RoughMultiplierSpec(g, ((np.int64(0), np.int32(10)),), coefficients=[1])
+    assert spec.intervals == ((0, 10),) and type(spec.intervals[0][0]) is int
     leak = np.zeros(g.samples, dtype=np.complex128)
     leak[g.samples // 2 + 500] = 1.0
     with pytest.raises(SymbolSupportError):
