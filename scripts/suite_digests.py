@@ -12,11 +12,14 @@ and that of its remainder's bytes with ``repr(source_norm)`` and
 ``mfcz_decompose`` + ``verify_mfcz`` call and prints one line (``mfcz``)
 for the bytes of the good part, each atom's ``start_cell``, ``n_cells``
 and ``b_values`` bytes in atom order, and ``repr`` of the ``CZReport``.
-It also replays the pass's ``whitney_decompose`` + ``window_system`` call
-and prints one line (``window_system``) for every member's ``phi_lo``,
-``window_lo``, ``envelope``, ``slope`` and ``curvature`` reprs and its
-``phi_values`` and ``window_values`` bytes, in piece order, then
-``slope_max``, ``curvature_max`` and ``mollifier_diags``.  A last line
+It also replays the pass's ``whitney_decompose`` + ``window_system``
+call.  One line (``whitney``) hashes the skeleton: each piece's ``lo``,
+``hi`` and ``flagged`` in piece order, then ``overlap_count``,
+``per_scale_max`` and ``scale_counts``.  The next (``window_system``)
+hashes every member's ``phi_lo``, ``window_lo``, ``envelope``, ``slope``
+and ``curvature`` reprs and its ``phi_values`` and ``window_values``
+bytes, in piece order, then ``slope_max``, ``curvature_max`` and
+``mollifier_diags``.  A last line
 (``windowed_expand``) replays the pass's ``windowed_expand`` call and
 hashes its coefficient, reconstruction and target bytes and
 ``repr(rel_error)``.  The suites, their configs, the decompose inputs
@@ -71,7 +74,8 @@ def pass_digests(suite, pass_seed: int, workers: int) -> list[tuple[str, str]]:
 def decompose_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str]]:
     """(name, sha256) for each member's layer CSV and remainder, for the
     layered ``rvar_M`` output, for the mfcz atoms and report, for the
-    window system and for the windowed expansion of one decompose pass;
+    Whitney skeleton, for the window system and for the windowed
+    expansion of one decompose pass;
     ``workers`` is unused."""
     mf = workloads.multifreq
     grid, rng, f, g, sigma, shift, _ = work.inputs(pass_seed)
@@ -97,6 +101,13 @@ def decompose_digests(work, pass_seed: int, workers: int) -> list[tuple[str, str
     atoms.update(repr(mf.verify_mfcz(dec)).encode())
     digests.append(("mfcz", atoms.hexdigest()))
     skeleton = mf.whitney_decompose(grid, -work.OMEGA_HALF + shift, work.OMEGA_HALF + shift)
+    whitney = hashlib.sha256()
+    for p in skeleton.pieces:
+        whitney.update(f"{p.lo} {p.hi} {p.flagged} ".encode())
+    whitney.update(
+        f"{skeleton.overlap_count} {skeleton.per_scale_max} {skeleton.scale_counts!r}".encode()
+    )
+    digests.append(("whitney", whitney.hexdigest()))
     system = mf.window_system(skeleton)
     windows = hashlib.sha256()
     for w in system.windows:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +69,33 @@ class LayerPiece:
         return self.hi - self.lo
 
 
+class _Layers(Sequence):
+    """Step layers stored as arrays: level j is ``levels[j]``, the int64
+    ``los`` and ``his`` and the complex ``coeffs`` of its pieces in
+    ascending order.
+
+    Item j is layer j's tuple of ``LayerPiece``.  The tuples are built on
+    the first read of an item, so code that reads only the arrays builds
+    none.
+    """
+
+    def __init__(self, levels):
+        self.levels = tuple(levels)
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __getitem__(self, j):
+        return self._pieces[j]
+
+    @cached_property
+    def _pieces(self) -> tuple[tuple[LayerPiece, ...], ...]:
+        return tuple(
+            tuple(map(LayerPiece, los.tolist(), his.tolist(), coeffs.tolist()))
+            for los, his, coeffs in self.levels
+        )
+
+
 @dataclass(frozen=True)
 class LayeredSymbol:
     """Step-layer expansion of a symbol of bounded r-variation.
@@ -76,6 +105,11 @@ class LayeredSymbol:
     Layer j uses at most 2^(j+1) + 2 pieces, each with coefficient
     modulus at most 3 * 2^(-j/r) * source_norm, and the remainder is
     uniformly below tol * source_norm.
+
+    ``layers`` keeps each level's piece bounds and coefficients as
+    arrays, which ``layer_span`` and ``piece_counts`` read; its items,
+    tuples of ``LayerPiece``, are built on first read.  A sequence of
+    such tuples may be passed instead, and is stored as arrays.
     """
 
     grid: TorusGrid
@@ -83,8 +117,20 @@ class LayeredSymbol:
     tol: float
     source_norm: float
     j_max: int
-    layers: tuple[tuple[LayerPiece, ...], ...]
+    layers: Sequence[tuple[LayerPiece, ...]]
     remainder: Spectrum
+
+    def __post_init__(self):
+        if not isinstance(self.layers, _Layers):
+            levels = (
+                (
+                    np.array([p.lo for p in layer], dtype=np.int64),
+                    np.array([p.hi for p in layer], dtype=np.int64),
+                    np.array([p.coeff for p in layer], dtype=np.complex128),
+                )
+                for layer in self.layers
+            )
+            object.__setattr__(self, "layers", _Layers(levels))
 
     def layer_span(self, j: int) -> tuple[int, np.ndarray]:
         """Layer j as one dense run of cells: the array position of the
@@ -92,14 +138,14 @@ class LayeredSymbol:
         hi, with +0.0 between pieces.  The pieces are taken in ascending
         order, as ``vr_layer_decompose`` builds them; an empty layer is
         an empty run."""
-        layer = self.layers[j]
-        if not layer:
+        los, his, coeffs = self.layers.levels[j]
+        if not los.size:
             return 0, np.zeros(0, dtype=np.complex128)
-        bounds = np.array([(p.lo, p.hi) for p in layer], dtype=np.int64).ravel()
+        bounds = np.column_stack((los, his)).ravel()
         # piece, gap, piece, ..., piece: each gap ends where the next piece starts
-        values = np.zeros(2 * len(layer) - 1, dtype=np.complex128)
-        values[::2] = [p.coeff for p in layer]
-        return self.grid.slot(layer[0].lo), np.repeat(values, np.diff(bounds))
+        values = np.zeros(2 * los.size - 1, dtype=np.complex128)
+        values[::2] = coeffs
+        return self.grid.slot(int(los[0])), np.repeat(values, np.diff(bounds))
 
     def layer_values(self, j: int) -> np.ndarray:
         """Tabulate layer j on the full frequency lattice."""
@@ -119,7 +165,7 @@ class LayeredSymbol:
 
     @property
     def piece_counts(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
+        return tuple(los.size for los, _, _ in self.layers.levels)
 
 
 # widths of the windows after a stop that the stop search tests, in
@@ -248,7 +294,7 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
     c = vals[first]
     bounds = np.append(first, m_samp) - half
     table = _drift_table(c)
-    layers: list[tuple[LayerPiece, ...]] = []
+    levels = []
     prev_stops = np.array([0], dtype=np.int64)
     prev_approx = np.zeros(c.shape[0], dtype=np.complex128)
     for j in range(j_max + 1):
@@ -258,18 +304,20 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
         breaks = np.union1d(prev_stops, stops)
         d = approx[breaks] - prev_approx[breaks]
         keep = np.flatnonzero(d != 0)
-        los = bounds[breaks[keep]].tolist()
-        his = bounds[np.append(breaks[1:], c.shape[0])[keep]].tolist()
-        layers.append(tuple(map(LayerPiece, los, his, d[keep].tolist())))
+        los = bounds[breaks[keep]]
+        his = bounds[np.append(breaks[1:], c.shape[0])[keep]]
+        levels.append((los, his, d[keep]))
         prev_stops = stops
         prev_approx = approx
         if np.array_equal(approx, c):
-            layers.extend(() for _ in range(j_max - j))
+            no_bounds = np.zeros(0, dtype=np.int64)
+            empty = (no_bounds, no_bounds, np.zeros(0, dtype=np.complex128))
+            levels.extend([empty] * (j_max - j))
             break
 
     remainder = Spectrum(grid, vals - np.repeat(prev_approx, np.diff(bounds)))
     return LayeredSymbol(
-        grid, float(r), float(tol), float(v), int(j_max), tuple(layers), remainder
+        grid, float(r), float(tol), float(v), int(j_max), _Layers(levels), remainder
     )
 
 
@@ -371,13 +419,14 @@ def whitney_decompose(
     # the left half is popped first, so the pieces come out in ascending order
     pieces = tuple(WhitneyPiece(a - half, b - half, fl) for a, b, fl in raw)
 
-    cover = np.zeros(m_samp, dtype=np.int64)
-    for a, b, _ in raw:
-        n = b - a
-        lo20 = max(a - (19 * n) // 2, 0)
-        hi20 = min(b + (19 * n + 1) // 2, m_samp)
-        cover[lo20:hi20] += 1
-    overlap = int(cover.max())
+    # the 20-fold dilations, counted with one difference array: +1 where
+    # each starts, -1 where it ends
+    starts, ends = np.array([(a, b) for a, b, _ in raw], dtype=np.int64).T
+    sizes = ends - starts
+    steps = np.zeros(m_samp + 1, dtype=np.int64)
+    np.add.at(steps, np.maximum(starts - (19 * sizes) // 2, 0), 1)
+    np.add.at(steps, np.minimum(ends + (19 * sizes + 1) // 2, m_samp), -1)
+    overlap = int(np.cumsum(steps).max())
 
     counts = Counter(b - a for a, b, _ in raw)
     scale_counts = tuple(sorted(counts.items()))
@@ -411,8 +460,9 @@ class WindowPiece:
     """Partition-of-unity member and plateau window for one piece.
 
     ``phi_values`` lives on lattice indices [phi_lo, phi_lo + len);
-    ``window_values`` likewise from ``window_lo``. The envelope is the
-    4-fold concentric dilation of the piece, in lattice units.
+    ``window_values`` likewise from ``window_lo``. Both are read-only and
+    may be shared with other members of the same shape. The envelope is
+    the 4-fold concentric dilation of the piece, in lattice units.
     """
 
     piece: WhitneyPiece
@@ -469,6 +519,8 @@ def window_system(skeleton: WhitneySystem) -> WindowSystem:
     internal breakpoint; the interval's outer edges stay sharp.  Member i
     is the ramp at its left breakpoint minus the ramp at its right one,
     and ``sum_phi`` adds the members back up to the indicator bit for bit.
+    Each distinct piece shape is evaluated once per call, and its members
+    share the read-only arrays.
     """
     grid = skeleton.grid
     m_samp = grid.samples
@@ -488,6 +540,16 @@ def window_system(skeleton: WhitneySystem) -> WindowSystem:
     # 1 - s exact (Sterbenz) and s - t in [1/2, 1], (1 - s) + fl(s - t) is
     # exact and within 2^-54 of 1 - t, so adding t rounds to 1.0; likewise
     # (1 - s) + s, since fl(1 - s) is within 2^-54 of 1 - s.
+    #
+    # Each shape is evaluated once.  cells - (p_lo - w_left),
+    # cells - (p_hi - w_right) and w_cells - center are multiples of 1/4
+    # far below 2^53, so they are exact and read the same bits at every
+    # piece with the same size, ramp widths and bounds relative to p_lo.
+    # Only the outer edges have a zero ramp width, so the widths also tell
+    # the first and last pieces apart.  The members of one shape share its
+    # read-only arrays.
+    phis = {}
+    plateaus = {}
     windows = []
     slope_max = 0.0
     curvature_max = 0.0
@@ -499,34 +561,45 @@ def window_system(skeleton: WhitneySystem) -> WindowSystem:
         w_right = widths[i + 1]
         lo = a0 if i == 0 else max(int(math.floor(p_lo - w_left)), a0)
         hi = b0 if i == last else min(int(math.ceil(p_hi + w_right)) + 1, b0)
-        cells = np.arange(lo, hi, dtype=np.float64)
-        if i == 0:
-            left = np.ones_like(cells)
-        else:
-            left = smoothstep((cells - (p_lo - w_left)) / (2.0 * w_left))
-        if i == last:
-            right = np.zeros_like(cells)
-        else:
-            right = smoothstep((cells - (p_hi - w_right)) / (2.0 * w_right))
-        phi = left - right
+        shape = (n, w_left, w_right, lo - p_lo, hi - p_lo)
+        if shape not in phis:
+            cells = np.arange(lo, hi, dtype=np.float64)
+            if i == 0:
+                left = np.ones_like(cells)
+            else:
+                left = smoothstep((cells - (p_lo - w_left)) / (2.0 * w_left))
+            if i == last:
+                right = np.zeros_like(cells)
+            else:
+                right = smoothstep((cells - (p_hi - w_right)) / (2.0 * w_right))
+            phi = left - right
+            phi.setflags(write=False)
 
-        padded = np.concatenate(([0.0], phi, [0.0]))
-        d1 = padded[1:] - padded[:-1]
-        d2 = padded[:-2] - 2.0 * padded[1:-1] + padded[2:]
-        slope = float(np.max(np.abs(d1)) * 4.0 * n)
-        curvature = float(np.max(np.abs(d2)) * 16.0 * n * n)
-        slope_max = max(slope_max, slope)
-        curvature_max = max(curvature_max, curvature)
+            padded = np.concatenate(([0.0], phi, [0.0]))
+            d1 = padded[1:] - padded[:-1]
+            d2 = padded[:-2] - 2.0 * padded[1:-1] + padded[2:]
+            slope = float(np.max(np.abs(d1)) * 4.0 * n)
+            curvature = float(np.max(np.abs(d2)) * 16.0 * n * n)
+            slope_max = max(slope_max, slope)
+            curvature_max = max(curvature_max, curvature)
+            phis[shape] = phi, slope, curvature
+        phi, slope, curvature = phis[shape]
 
         center = 0.5 * (p_lo + p_hi)
         w_lo = max(int(math.ceil(center - 7.5 * n)), 0)
         w_hi = min(int(math.floor(center + 7.5 * n)) + 1, m_samp)
-        w_cells = np.arange(w_lo, w_hi, dtype=np.float64)
-        w_vals = plateau_profile(w_cells - center, 5.0 * n, 7.5 * n)
+        plateau = (n, w_lo - p_lo, w_hi - p_lo)
+        if plateau not in plateaus:
+            w_cells = np.arange(w_lo, w_hi, dtype=np.float64)
+            w_vals = plateau_profile(w_cells - center, 5.0 * n, 7.5 * n)
+            w_vals.setflags(write=False)
+            plateaus[plateau] = w_vals
 
         envelope = (piece.lo - 1.5 * n, piece.hi + 1.5 * n)
         windows.append(
-            WindowPiece(piece, envelope, lo - half, phi, w_lo - half, w_vals, slope, curvature)
+            WindowPiece(
+                piece, envelope, lo - half, phi, w_lo - half, plateaus[plateau], slope, curvature
+            )
         )
 
     diags = tuple(EtaScaleDiag(n, 0.008 * n, 0.008 * n < 8.0) for n, _ in skeleton.scale_counts)

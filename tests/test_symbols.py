@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multifreq import symbols
+from multifreq import bumps, symbols
 from multifreq.bumps import bump_profile, plateau_profile, smoothstep
 from multifreq.errors import ConstructionError, GridMismatchError, ResolutionError
+from multifreq.experiments import sample_rough_spec
 from multifreq.fluctuation import variation_norm
 from multifreq.grid import (
     DyadicFreqInterval,
@@ -18,7 +19,9 @@ from multifreq.grid import (
     TorusGrid,
     forward_transform,
     inverse_transform,
+    write_csv,
 )
+from multifreq.operators import rvar_M
 from multifreq.symbols import (
     _stop_positions,
     layered_to_csv,
@@ -440,14 +443,21 @@ def coeff_bits(z):
 
 @settings(max_examples=60, deadline=None)
 @given(layer_source(), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.sampled_from([1e-1, 1e-2, 1e-3]))
-def test_layers_equal_the_plain_decomposition_bit_for_bit(vals, r, tol):
+def test_layers_equal_the_plain_decomposition_bit_for_bit(tmp_path_factory, vals, r, tol):
     ls = vr_layer_decompose(Spectrum(LAYER_GRID, vals), r, tol)
     v, j_max, layers, remainder = plain_layer_decompose(vals, r, tol)
     assert repr(ls.source_norm) == repr(v)
     assert ls.j_max == j_max
+    # read from the stored arrays, before any piece is built
+    assert ls.piece_counts == tuple(len(layer) for layer in layers)
     got = [[(p.lo, p.hi, coeff_bits(p.coeff)) for p in layer] for layer in ls.layers]
     assert got == [[(lo, hi, coeff_bits(d)) for lo, hi, d in layer] for layer in layers]
     assert ls.remainder.values.tobytes() == remainder.tobytes()
+    out = tmp_path_factory.mktemp("layers")
+    layered_to_csv(ls, out / "got.csv")
+    rows = ((j, lo, hi, d.real, d.imag) for j, layer in enumerate(layers) for lo, hi, d in layer)
+    write_csv(out / "want.csv", "j,interval_lo,interval_hi,re_d,im_d", rows)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
     # the layers tabulate, signed zeros included, as a piece-by-piece
     # scatter into zeros does
     for j, layer in enumerate(ls.layers):
@@ -455,6 +465,22 @@ def test_layers_equal_the_plain_decomposition_bit_for_bit(vals, r, tol):
         for p in layer:
             want[LAYER_GRID.slot(p.lo) : LAYER_GRID.slot(p.hi)] += p.coeff
         assert ls.layer_values(j).tobytes() == want.tobytes()
+
+
+def test_layered_rvar_m_builds_no_layer_piece(monkeypatch):
+    grid = TorusGrid(period=16, samples=2**12)
+    rng = np.random.default_rng(5)
+    spec = sample_rough_spec(grid, 4, rng, with_symbols=True)
+    f = Signal(grid, rng.standard_normal(grid.samples) + 1j * rng.standard_normal(grid.samples))
+    built = []
+    real = symbols.LayerPiece
+    monkeypatch.setattr(symbols, "LayerPiece", lambda *args: built.append(args) or real(*args))
+    rvar_M(f, spec, "layered")
+    assert built == []
+    # the pieces are built on the first read of the layers, and only then
+    ls = vr_layer_decompose(Spectrum(grid, spec.symbols[0]), spec.r)
+    assert built == []
+    assert sum(map(len, ls.layers)) == sum(ls.piece_counts) == len(built) > 0
 
 
 def test_layers_validation(layer_grid):
@@ -677,6 +703,125 @@ def whitney_interval(draw):
 def test_partition_of_unity_exact_on_any_interval(bounds):
     ws = window_system(whitney_decompose(WHITNEY_GRID, *bounds))
     assert np.array_equal(ws.sum_phi(), ws.skeleton.indicator())
+
+
+def per_piece_window_system(skeleton):
+    """``window_system`` as first written: every piece evaluates its own
+    phi, slope, curvature and plateau window.  Returns one (phi_lo,
+    window_lo, envelope, slope, curvature, phi bytes, window bytes) tuple
+    per piece, then slope_max and curvature_max."""
+    grid = skeleton.grid
+    m_samp = grid.samples
+    half = m_samp // 2
+    pieces = skeleton.pieces
+    last = len(pieces) - 1
+    a0 = skeleton.omega_lo + half
+    b0 = skeleton.omega_hi + half
+    widths = [0.0, *(0.75 * min(p.cells, q.cells) for p, q in zip(pieces, pieces[1:])), 0.0]
+    members = []
+    slope_max = 0.0
+    curvature_max = 0.0
+    for i, piece in enumerate(pieces):
+        n = piece.cells
+        p_lo = piece.lo + half
+        p_hi = piece.hi + half
+        w_left = widths[i]
+        w_right = widths[i + 1]
+        lo = a0 if i == 0 else max(int(math.floor(p_lo - w_left)), a0)
+        hi = b0 if i == last else min(int(math.ceil(p_hi + w_right)) + 1, b0)
+        cells = np.arange(lo, hi, dtype=np.float64)
+        if i == 0:
+            left = np.ones_like(cells)
+        else:
+            left = smoothstep((cells - (p_lo - w_left)) / (2.0 * w_left))
+        if i == last:
+            right = np.zeros_like(cells)
+        else:
+            right = smoothstep((cells - (p_hi - w_right)) / (2.0 * w_right))
+        phi = left - right
+
+        padded = np.concatenate(([0.0], phi, [0.0]))
+        d1 = padded[1:] - padded[:-1]
+        d2 = padded[:-2] - 2.0 * padded[1:-1] + padded[2:]
+        slope = float(np.max(np.abs(d1)) * 4.0 * n)
+        curvature = float(np.max(np.abs(d2)) * 16.0 * n * n)
+        slope_max = max(slope_max, slope)
+        curvature_max = max(curvature_max, curvature)
+
+        center = 0.5 * (p_lo + p_hi)
+        w_lo = max(int(math.ceil(center - 7.5 * n)), 0)
+        w_hi = min(int(math.floor(center + 7.5 * n)) + 1, m_samp)
+        w_cells = np.arange(w_lo, w_hi, dtype=np.float64)
+        w_vals = plateau_profile(w_cells - center, 5.0 * n, 7.5 * n)
+
+        envelope = (piece.lo - 1.5 * n, piece.hi + 1.5 * n)
+        members.append(
+            (lo - half, w_lo - half, envelope, slope, curvature, phi.tobytes(), w_vals.tobytes())
+        )
+    return members, slope_max, curvature_max
+
+
+@st.composite
+def window_case(draw):
+    # an interval that may touch either band edge, where the plateau
+    # windows are clipped, and pieces down to 1 or 2 cells, whose ramps
+    # are 0.75 and 1.5 cells wide
+    half = WHITNEY_GRID.samples // 2
+    lo, hi = draw(whitney_interval())
+    edge = draw(st.sampled_from(["none", "left", "right", "both"]))
+    if edge in ("left", "both"):
+        lo = -half
+    if edge in ("right", "both"):
+        hi = half
+    return lo, hi, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(window_case())
+@example((-(2**12), 2**12, 1))
+@example((0, 2**12, 2))
+def test_window_system_equals_a_per_piece_evaluation(case):
+    lo, hi, min_cells = case
+    skeleton = whitney_decompose(WHITNEY_GRID, lo, hi, min_cells)
+    ws = window_system(skeleton)
+    members, slope_max, curvature_max = per_piece_window_system(skeleton)
+    got = [
+        (
+            w.phi_lo,
+            w.window_lo,
+            w.envelope,
+            w.slope,
+            w.curvature,
+            w.phi_values.tobytes(),
+            w.window_values.tobytes(),
+        )
+        for w in ws.windows
+    ]
+    assert got == members
+    assert (repr(ws.slope_max), repr(ws.curvature_max)) == (repr(slope_max), repr(curvature_max))
+    # members of one shape share its arrays, so none of them can be written
+    for w in ws.windows:
+        for values in (w.phi_values, w.window_values):
+            with pytest.raises(ValueError):
+                values[0] = 0.5
+
+
+def test_window_system_evaluates_each_shape_once(monkeypatch):
+    # the 828 pieces of the full default band have 25 phi shapes and 8
+    # plateau shapes (56 smoothstep calls); one call per piece and ramp
+    # would be 2482
+    skeleton = whitney_decompose(TorusGrid(), -8192, 8192)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return smoothstep(t)
+
+    monkeypatch.setattr(symbols, "smoothstep", counted)
+    monkeypatch.setattr(bumps, "smoothstep", counted)
+    ws = window_system(skeleton)
+    assert len(ws.windows) == len(skeleton.pieces)
+    assert len(calls) <= 64
 
 
 # where the ramps at breakpoints i and i + 1 meet, ramp i reads at least
