@@ -39,6 +39,7 @@ from .grid import (
     Signal,
     Spectrum,
     TorusGrid,
+    _as_int,
     _cell,
     _multiply_rows,
     inverse_transform,
@@ -47,7 +48,6 @@ from .grid import (
 from .operators import (
     RoughMultiplierSpec,
     _IntervalSymbols,
-    _as_int,
     _check_q,
     default_scale_range,
     vq_dk,

@@ -50,6 +50,13 @@ def _is_pow2(n) -> bool:
     return isinstance(n, numbers.Integral) and n >= 1 and (n & (n - 1)) == 0
 
 
+def _as_int(name: str, value) -> int:
+    # numpy integers pass; a float is refused even when it is whole
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Sampling geometry: a period-``period`` circle with ``samples`` cells."""

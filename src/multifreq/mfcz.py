@@ -10,6 +10,7 @@ interval, which gives the least-norm function matching all N moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -30,12 +31,17 @@ __all__ = [
 
 TOL_ORTH = 1e-8
 
+# most atoms of one size matched as one stack, which bounds the stack's
+# exponentials to _ATOM_STACK * N * 3 * size values
+_ATOM_STACK = 32
+
 
 def _cell_exponentials(grid: TorusGrid, sigma: FrequencySet, cells: np.ndarray) -> np.ndarray:
-    """Matrix E[j, i] = e(-xi_j * x_i) over the given cells."""
+    """Matrices E[b, j, i] = e(-xi_j * x_i) over each row b of cells."""
     x = cells * grid.h
     xi = sigma.frequencies()
-    return np.exp(-2j * np.pi * np.outer(xi, x))
+    e = -2j * np.pi * (xi[:, None] * x[:, None, :])
+    return np.exp(e, out=e)
 
 
 @dataclass(frozen=True)
@@ -92,10 +98,13 @@ def select_intervals(f: Signal, lam: float, n_freq: int) -> list[tuple[int, int]
     runs from the whole period down to single cells; selecting the root
     means the decomposition degenerates, which is an error.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    # written so that NaN fails too
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     if n_freq < 1:
         raise ValueError("n_freq must be at least 1")
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("signal samples must be finite")
     mags = np.abs(f.values)
     if not np.any(mags > 0):
         raise ValueError("signal must be nonzero")
@@ -122,12 +131,14 @@ def select_intervals(f: Signal, lam: float, n_freq: int) -> list[tuple[int, int]
     return selected
 
 
-def _triple_cells(grid: TorusGrid, start: int, size: int) -> np.ndarray:
+def _triple_cells(grid: TorusGrid, starts: np.ndarray, size: int) -> np.ndarray:
+    """(len(starts), 3 * size) cells of the concentric 3-fold dilations of
+    the intervals [start, start + size), taken modulo the period."""
     if 3 * size * grid.h > grid.period:
         raise DegenerateInputError(
             f"dilated interval of {3 * size} cells does not fit in the torus"
         )
-    return np.arange(start - size, start + 2 * size) % grid.samples
+    return (starts[:, None] + np.arange(-size, 2 * size)) % grid.samples
 
 
 def moment_match(f_vals: np.ndarray, sigma: FrequencySet, triple_cells: np.ndarray):
@@ -140,46 +151,76 @@ def moment_match(f_vals: np.ndarray, sigma: FrequencySet, triple_cells: np.ndarr
     the dilation: one SVD of E, cut at numpy's rank tolerance (as ``lstsq``
     with ``rcond=None``).  A projection never increases the L2 norm.  The
     Gram h E E^* is singular when N exceeds the dilation's cells.
+
+    A stack of B atoms of one size, f_vals (B, size) with triple_cells
+    (B, 3 * size), shares one exponential, one stacked SVD and one stacked
+    projection per kept rank, and returns (B, 3 * size) g with (B,)
+    arrays of the two diagnostics; each row has the bits of its own call.
     """
     grid = sigma.grid
     h = grid.h
-    size = f_vals.shape[0]
-    e_3j = _cell_exponentials(grid, sigma, triple_cells)
+    f_rows = np.atleast_2d(f_vals)
+    cells = np.atleast_2d(triple_cells)
+    size = f_rows.shape[1]
+    e_3j = _cell_exponentials(grid, sigma, cells)
     _, sv, vh = np.linalg.svd(e_3j, full_matrices=False)
-    v_k = vh[sv > sv[0] * max(e_3j.shape) * np.finfo(np.float64).eps]
-    f_pad = np.zeros(triple_cells.shape[0], dtype=np.complex128)
-    f_pad[size:2 * size] = f_vals
-    g_vals = v_k.conj().T @ (v_k @ f_pad)
-    rel_min_sv = float((sv[-1] / sv[0]) ** 2) if sigma.n <= sv.shape[0] else 0.0
-    resid = float(np.max(np.abs(h * (e_3j @ (f_pad - g_vals)))))
+    ranks = np.count_nonzero(
+        sv > sv[:, :1] * max(e_3j.shape[1:]) * np.finfo(np.float64).eps, axis=1
+    )
+    f_pad = np.zeros(cells.shape + (1,), dtype=np.complex128)
+    f_pad[:, size:2 * size, 0] = f_rows
+    g_vals = np.empty_like(f_pad)
+    for rank in np.unique(ranks).tolist():
+        rows = np.flatnonzero(ranks == rank)
+        v_k = vh[rows, :rank]
+        g_vals[rows] = v_k.conj().transpose(0, 2, 1) @ (v_k @ f_pad[rows])
+    full = sigma.n <= sv.shape[1]
+    # row by row on NumPy scalars, the arithmetic of a call per atom
+    rel_min_sv = np.array([float((s[-1] / s[0]) ** 2) if full else 0.0 for s in sv])
+    resid = np.max(np.abs(h * (e_3j @ (f_pad - g_vals))), axis=(1, 2))
+    g_vals = g_vals[..., 0]
+    if np.ndim(f_vals) == 1:
+        return g_vals[0], float(rel_min_sv[0]), float(resid[0])
     return g_vals, rel_min_sv, resid
 
 
-def _build_atom(f: Signal, sigma: FrequencySet, start: int, size: int) -> CZInterval:
+def _build_atoms(f: Signal, sigma: FrequencySet, starts: np.ndarray, size: int) -> list[CZInterval]:
+    """The atoms on [start, start + size) for each start, matched as one stack."""
     grid = f.grid
-    triple = _triple_cells(grid, start, size)
-    f_vals = f.values[start:start + size]
+    triple = _triple_cells(grid, starts, size)
+    f_vals = f.values[starts[:, None] + np.arange(size)]
     g_vals, rel_min_sv, resid = moment_match(f_vals, sigma, triple)
     # b = f_J - g on the dilation; J sits at offsets [size, 2*size) within it
     b_vals = -g_vals
-    b_vals[size:2 * size] += f_vals
-    return CZInterval(
-        grid=grid,
-        start_cell=start,
-        n_cells=size,
-        triple_cells=triple,
-        f_values=f_vals,
-        g_values=g_vals,
-        b_values=b_vals,
-        gram_min_sv=rel_min_sv,
-        moment_residual=resid,
-    )
+    b_vals[:, size:2 * size] += f_vals
+    return [
+        CZInterval(
+            grid=grid,
+            start_cell=start,
+            n_cells=size,
+            triple_cells=triple[i],
+            f_values=f.values[start:start + size],
+            g_values=g_vals[i],
+            b_values=b_vals[i],
+            gram_min_sv=float(rel_min_sv[i]),
+            moment_residual=float(resid[i]),
+        )
+        for i, start in enumerate(starts.tolist())
+    ]
 
 
 def mfcz_decompose(f: Signal, lam: float, sigma: FrequencySet) -> CZDecomposition:
-    """Split f into a good part and moment-free atoms at height lam."""
+    """Split f into a good part and moment-free atoms at height lam.
+
+    The atoms of one size are matched in stacks of up to ``_ATOM_STACK``."""
     intervals = select_intervals(f, lam, sigma.n)
-    atoms = tuple(_build_atom(f, sigma, s, n) for s, n in intervals)
+    by_start = {}
+    for size in sorted({n for _, n in intervals}):
+        starts = np.array([s for s, n in intervals if n == size], dtype=np.int64)
+        for i in range(0, starts.shape[0], _ATOM_STACK):
+            chunk = _build_atoms(f, sigma, starts[i:i + _ATOM_STACK], size)
+            by_start.update((a.start_cell, a) for a in chunk)
+    atoms = tuple(by_start[s] for s, _ in intervals)
     bad = np.zeros(f.grid.samples, dtype=np.complex128)
     for atom in atoms:
         bad[atom.triple_cells] += atom.b_values

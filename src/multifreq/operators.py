@@ -11,7 +11,6 @@ is part of the object being measured, not an artifact to smooth away.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .grid import (
     Signal,
     Spectrum,
     TorusGrid,
+    _as_int,
     _check_same_grid,
     _freeze,
     _multiply_each,
@@ -66,13 +66,6 @@ class ScaleRange:
 def default_scale_range(grid: TorusGrid) -> ScaleRange:
     # every dyadic width from half a unit down to one lattice cell
     return ScaleRange(1, grid.finest_scale)
-
-
-def _as_int(name: str, value) -> int:
-    # numpy integers pass; a float is refused even when it is whole
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_q(q: float) -> None:

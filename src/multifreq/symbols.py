@@ -29,6 +29,7 @@ from .grid import (
     Signal,
     Spectrum,
     TorusGrid,
+    _as_int,
     _check_same_grid,
     apply_multiplier,
     forward_transform,
@@ -168,32 +169,22 @@ class LayeredSymbol:
         return tuple(los.size for los, _, _ in self.layers.levels)
 
 
-# widths of the windows after a stop that the stop search tests, in
-# turn, before it takes the rest of the tail
-_STOP_WINDOWS = (64, 256, 1024, 4096)
+# how many run starts after each run start the drift table covers, and
+# how many (level, run start) pairs one pointer pass may take: as many
+# levels as fit, at least one, so a pass's arrays stay this small
+_DRIFT_WIDTH = 16
+_PASS_CELLS = 1 << 17
+
+# how far past its table row the fallback first scans a position's tail,
+# then grows the scan fourfold until it finds a stop or the end
+_TAIL_SCAN = 256
 
 
-def _next_stop(vals: np.ndarray, pos: int, eps: float) -> int | None:
-    """First index after ``pos`` whose value drifts more than eps from
-    ``vals[pos]``, or None. It is the index a scan of the whole tail
-    finds, but a stop close to ``pos`` is found without touching the
-    rest of the tail."""
-    n = vals.shape[0]
-    ref = vals[pos]
-    lo = pos + 1
-    for width in (*_STOP_WINDOWS, n):
-        hi = min(pos + 1 + width, n)
-        over = np.abs(vals[lo:hi] - ref) > eps
-        i = int(np.argmax(over))
-        if over[i]:
-            return lo + i
-        if hi == n:
-            return None
-        lo = hi
-
-
-# how many run starts after each run start the drift table covers
-_DRIFT_WIDTH = 32
+def _tail_peaks(c: np.ndarray, pos: int, start: int, stop: int) -> np.ndarray:
+    """Running max of |c[q] - c[pos]| over q in [start, stop): its first
+    entry over eps marks the first cell there that drifts more than eps
+    from ``c[pos]``.  The drifts have the bits of the drift table's."""
+    return np.maximum.accumulate(np.abs(c[start:stop] - c[pos]))
 
 
 def _run_starts(vals: np.ndarray) -> np.ndarray:
@@ -204,51 +195,160 @@ def _run_starts(vals: np.ndarray) -> np.ndarray:
 
 
 def _drift_table(c: np.ndarray) -> np.ndarray:
-    """(len(c), _DRIFT_WIDTH) table of |c[p + t] - c[p]| for t = 1, 2, ...,
+    """(_DRIFT_WIDTH, len(c)) table of |c[p + 1 + t] - c[p]| in row t,
     NaN past the end, which no threshold test counts as a drift.  It
-    holds the bits ``_next_stop`` computes for the same pairs."""
-    padded = np.concatenate((c, np.full(_DRIFT_WIDTH, np.nan, dtype=c.dtype)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, _DRIFT_WIDTH + 1)
-    return np.abs(windows[:, 1:] - windows[:, :1])
+    holds the bits ``_tail_peaks`` reads for the same pairs."""
+    padded = np.concatenate((c[1:], np.full(_DRIFT_WIDTH, np.nan, dtype=c.dtype)))
+    later = np.lib.stride_tricks.sliding_window_view(padded, c.shape[0])
+    return np.abs(later - c)
 
 
-def _table_stops(c: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
-    """The stops of ``c`` at threshold eps, from its drift table.
+def _first_over(table: np.ndarray, thresholds) -> np.ndarray:
+    """(len(thresholds), columns) array whose entry (i, p) is the first
+    row t with table[t, p] > thresholds[i], or -1 where there is none;
+    NaN never counts as over.
 
-    Each row's first drift over eps is that position's next stop, and
-    the stops follow those pointers from 0.  A row with no drift over
-    eps falls back to ``_next_stop``, which searches the whole tail.
+    One pass serves every threshold.  Down each column the running max
+    is over a threshold from the first row over it on, so that row is
+    the number of rows whose running max is at most the threshold.  One
+    ``searchsorted`` against the sorted thresholds and one ``bincount``
+    give those counts for all thresholds at once.
     """
-    over = table > eps
-    rows = np.arange(c.shape[0])
-    nexts = np.where(over.any(axis=1), rows + 1 + over.argmax(axis=1), -1).tolist()
-    stops = [0]
-    while stops[-1] + 1 < c.shape[0]:
-        nxt = nexts[stops[-1]]
-        if nxt < 0:
-            nxt = _next_stop(c, stops[-1], eps)
-            if nxt is None:
+    rows, cols = table.shape
+    eps = np.asarray(thresholds, dtype=np.float64)
+    order = np.argsort(eps, kind="stable")
+    # running max down each column, a row at a time; fmax skips NaN, and
+    # the -inf start makes a leading NaN never over
+    peak = np.empty_like(table)
+    np.fmax(table[0], -np.inf, out=peak[0])
+    for t in range(1, rows):
+        np.fmax(peak[t - 1], table[t], out=peak[t])
+    # how many thresholds each running max exceeds, then one bin per
+    # (count, column)
+    exceeded = np.searchsorted(eps[order], peak)
+    exceeded *= cols
+    exceeded += np.arange(cols)
+    counts = np.bincount(exceeded.ravel(), minlength=(eps.size + 1) * cols).reshape(-1, cols)
+    np.cumsum(counts, axis=0, out=counts)
+    first = counts[np.argsort(order)]
+    first[first == rows] = -1
+    return first
+
+
+def _level_stops(c: np.ndarray, thresholds):
+    """Yield the stops of ``c`` at each threshold in turn, one pass's
+    levels at a time as a list of arrays: restart whenever the value
+    drifts more than the threshold from the value at the previous stop.
+    It ends early, after the first level that stops at every run start.
+
+    Each level follows next-stop pointers from 0 in a plain loop.  The
+    pointers of a pass's levels, ``_PASS_CELLS // len(c)`` of them or
+    one, come from one ``_first_over`` call on the drift table.  A
+    position with no stop in its table row falls back to the running max
+    of its drift past the row, ``_tail_peaks``, which it keeps: a later
+    level at that position, whose smaller threshold stops no later, reads
+    its stop from it with one ``searchsorted``.
+    """
+    nc = c.shape[0]
+    table = _drift_table(c)
+
+    def fallback(pos: int, eps: float) -> int:
+        start = pos + _DRIFT_WIDTH + 1
+        tail = peaks.get(pos)
+        while True:
+            if tail is not None:
+                i = int(tail.searchsorted(eps, "right"))
+                if i < tail.shape[0] or start + i == nc:
+                    return start + i
+            size = _TAIL_SCAN if tail is None else 4 * tail.shape[0]
+            tail = peaks[pos] = _tail_peaks(c, pos, start, min(start + size, nc))
+
+    per_pass = max(1, _PASS_CELLS // nc)
+    for lo in range(0, len(thresholds), per_pass):
+        block = thresholds[lo:lo + per_pass]
+        # the tails kept in one pass: within a level they do not overlap
+        # and reach at most four times past the next stop
+        peaks = {}
+        nexts = _first_over(table, block)
+        missing = nexts < 0
+        nexts += np.arange(1, nc + 1)
+        nexts[missing] = -1
+        # a row that reaches the end and holds no stop ends the walk
+        last_rows = nexts[:, max(nc - _DRIFT_WIDTH - 1, 0):]
+        last_rows[last_rows < 0] = nc
+        stops = []
+        append = stops.append
+        ends = [0]
+        for eps, row in zip(block, nexts):
+            # one level's pointers as Python ints at a time
+            row = row.tolist()
+            pos = 0
+            while pos < nc:
+                append(pos)
+                pos = row[pos]
+                if pos < 0:
+                    pos = fallback(stops[-1], eps)
+            ends.append(len(stops))
+            if ends[-1] - ends[-2] == nc:
                 break
-        stops.append(nxt)
-    return np.asarray(stops, dtype=np.int64)
+        flat = np.asarray(stops, dtype=np.int64)
+        yield [flat[a:b] for a, b in zip(ends, ends[1:])]
+        if ends[-1] - ends[-2] == nc:
+            return
 
 
 def _stop_positions(vals: np.ndarray, eps: float) -> np.ndarray:
-    """Left-to-right stopping: restart whenever the value drifts more
-    than eps from the value at the previous stop.
-
-    The scan runs on the first cell of each run of equal values, so a
-    level costs about O(runs * _DRIFT_WIDTH) plus the fallback's
-    windows, rather than the O(stops * n) of scanning the whole tail
-    from every stop.
-    """
+    """Left-to-right stopping of ``vals`` at threshold eps, on the first
+    cell of each run of equal values."""
     first = _run_starts(vals)
-    c = vals[first]
-    return first[_table_stops(c, _drift_table(c), eps)]
+    return first[next(_level_stops(vals[first], [eps]))[0]]
 
 
-def _step_approximant(vals: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    return np.repeat(vals[stops], np.diff(stops, append=vals.shape[0]))
+def _layer_pieces(
+    c: np.ndarray, bounds: np.ndarray, levels: list[np.ndarray], before: np.ndarray | None
+) -> list:
+    """Each level's pieces as (los, his, coefficients) arrays, the bounds
+    read from ``bounds`` at the run indices where the pieces start and
+    end.
+
+    Layer j is the step approximant of ``levels[j]`` minus that of the
+    level before (``before`` for the first; zero if it is None), on the
+    breaks of either; a piece runs from one break to the next and is
+    kept where the difference is nonzero.  All levels are formed at once
+    from the stop that covers each run start at each level, one
+    ``np.repeat``.
+    """
+    nc = c.shape[0]
+    depth = len(levels)
+    # with ``before``, row 0 of the arrays below is that level's
+    skip = 0 if before is None else 1
+    rows = levels if before is None else [before, *levels]
+    # run indices: int32 halves the covering table below
+    stops = np.concatenate(rows).astype(np.int32)
+    counts = [s.shape[0] for s in rows]
+    # covering[i * nc + p]: the stop of row i at or before run start p;
+    # every row starts at 0 and runs to nc
+    reach = np.append(stops[1:], nc)
+    reach[np.cumsum(counts) - 1] = nc
+    covering = np.repeat(stops, reach - stops)
+    # the breaks of row i: its stops and those of row i - 1
+    is_break = np.zeros(len(rows) * nc, dtype=bool)
+    is_break[np.repeat(np.arange(0, len(rows) * nc, nc), counts) + stops] = True
+    is_break[nc:] |= is_break[:-nc].copy()
+    flat = np.flatnonzero(is_break[skip * nc:]) + skip * nc
+    level, pos = np.divmod(flat, nc)
+    level -= skip
+    # the covering stop one row up; with no level before, level 0 reads
+    # the appended 0j
+    prev = np.where(flat >= nc, covering[flat - nc], nc)
+    cz = np.append(c, 0j)
+    d = cz[covering[flat]] - cz[prev]
+    ends = np.append(pos[1:], nc)
+    ends[np.flatnonzero(level[1:] != level[:-1])] = nc
+    keep = np.flatnonzero(d != 0)
+    cuts = [0, *np.searchsorted(level[keep], np.arange(1, depth)).tolist(), keep.shape[0]]
+    los, his, coeffs = bounds[pos[keep]], bounds[ends[keep]], d[keep]
+    return [(los[a:b], his[a:b], coeffs[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbol:
@@ -272,7 +372,10 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
     m_samp = grid.samples
     half = m_samp // 2
     vals = g.values
-    v = variation_norm(vals, r, mode="nonhomogeneous")
+    first = _run_starts(vals)
+    c = vals[first]
+    # the run starts reduce to the sequence the full lattice reduces to
+    v = variation_norm(c, r, mode="nonhomogeneous")
     if not math.isfinite(v):
         raise ValueError(
             f"symbol r-variation is {v!r}: a value is non-finite or the "
@@ -290,34 +393,21 @@ def vr_layer_decompose(g: Spectrum, r: float, tol: float = 1e-3) -> LayeredSymbo
         j_max += 1
 
     # run k covers cells [bounds[k], bounds[k + 1]) and holds the value c[k]
-    first = _run_starts(vals)
-    c = vals[first]
     bounds = np.append(first, m_samp) - half
-    table = _drift_table(c)
-    levels = []
-    prev_stops = np.array([0], dtype=np.int64)
-    prev_approx = np.zeros(c.shape[0], dtype=np.complex128)
-    for j in range(j_max + 1):
-        eps = 2.0 ** (-j / r) * v
-        stops = _table_stops(c, table, eps)
-        approx = _step_approximant(c, stops)
-        breaks = np.union1d(prev_stops, stops)
-        d = approx[breaks] - prev_approx[breaks]
-        keep = np.flatnonzero(d != 0)
-        los = bounds[breaks[keep]]
-        his = bounds[np.append(breaks[1:], c.shape[0])[keep]]
-        levels.append((los, his, d[keep]))
-        prev_stops = stops
-        prev_approx = approx
-        if np.array_equal(approx, c):
-            no_bounds = np.zeros(0, dtype=np.int64)
-            empty = (no_bounds, no_bounds, np.zeros(0, dtype=np.complex128))
-            levels.extend([empty] * (j_max - j))
-            break
-
-    remainder = Spectrum(grid, vals - np.repeat(prev_approx, np.diff(bounds)))
+    levels = _level_stops(c, [2.0 ** (-j / r) * v for j in range(j_max + 1)])
+    layers = []
+    last = None
+    for block in levels:
+        layers += _layer_pieces(c, bounds, block, last)
+        last = block[-1]
+    no_bounds = np.zeros(0, dtype=np.int64)
+    empty = (no_bounds, no_bounds, np.zeros(0, dtype=np.complex128))
+    layers.extend([empty] * (j_max + 1 - len(layers)))
+    # the remainder: the symbol minus the last level's approximant
+    rest = np.repeat(c[last], np.diff(np.append(first[last], m_samp)))
+    np.subtract(vals, rest, out=rest)
     return LayeredSymbol(
-        grid, float(r), float(tol), float(v), int(j_max), _Layers(levels), remainder
+        grid, float(r), float(tol), float(v), int(j_max), _Layers(layers), Spectrum(grid, rest)
     )
 
 
@@ -384,6 +474,9 @@ def whitney_decompose(
     satisfy the dilation test are emitted at size ``min_cells`` and
     flagged instead.
     """
+    omega_lo = _as_int("omega_lo", omega_lo)
+    omega_hi = _as_int("omega_hi", omega_hi)
+    min_cells = _as_int("min_cells", min_cells)
     m_samp = grid.samples
     half = m_samp // 2
     if not (-half <= omega_lo < omega_hi <= half):

@@ -22,6 +22,7 @@ from multifreq import (
     select_intervals,
     verify_mfcz,
 )
+from multifreq import mfcz
 from multifreq.mfcz import TOL_ORTH
 
 
@@ -216,6 +217,34 @@ def test_selection_validation(grid):
         select_intervals(Signal(grid, np.zeros(grid.samples)), 1.0, 4)
 
 
+def test_decomposition_refuses_a_nan_sample(grid, rng):
+    # a NaN sample once gave a report with c3 = nan
+    f = spiky_signal(grid, rng)
+    vals = f.values.copy()
+    vals[17] = complex(np.nan, 0.0)
+    sigma = FrequencySet.from_frequencies(grid, [0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        mfcz_decompose(Signal(grid, vals), 1.0, sigma)
+    vals = vals.copy()
+    vals[17] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        select_intervals(Signal(grid, vals), 1.0, 2)
+
+
+def test_decomposition_refuses_a_nan_height(grid, rng):
+    # lam = nan once selected no interval and reported c3 = nan
+    sigma = FrequencySet.from_frequencies(grid, [0.0, 1.0])
+    with pytest.raises(ValueError, match="lam"):
+        mfcz_decompose(spiky_signal(grid, rng), float("nan"), sigma)
+
+
+def test_decomposition_refuses_an_infinite_height(grid, rng):
+    # lam = inf once selected no interval
+    sigma = FrequencySet.from_frequencies(grid, [0.0, 1.0])
+    with pytest.raises(ValueError, match="lam"):
+        mfcz_decompose(spiky_signal(grid, rng), float("inf"), sigma)
+
+
 def test_total_measure_monotone_in_lam(grid, rng):
     for _ in range(6):
         f = spiky_signal(grid, rng)
@@ -331,6 +360,75 @@ def test_rank_deficient_gram_reported(grid):
     for xi in sigma.frequencies():
         resid = h * np.sum(b * np.exp(-2j * np.pi * xi * x3))
         assert abs(resid) <= 1e-8 * (2.0 * h)
+
+
+def one_call_per_atom(f_vals, sigma, triple):
+    return [moment_match(f_vals[k], sigma, triple[k]) for k in range(len(f_vals))]
+
+
+def assert_stack_has_the_bytes_of_one_call_per_atom(f_vals, sigma, triple):
+    g, rel_sv, resid = moment_match(f_vals, sigma, triple)
+    assert g.shape == triple.shape and rel_sv.shape == resid.shape == (len(f_vals),)
+    for k, (g1, rel_sv1, resid1) in enumerate(one_call_per_atom(f_vals, sigma, triple)):
+        assert g[k].tobytes() == g1.tobytes()
+        assert (float(rel_sv[k]).hex(), float(resid[k]).hex()) == (rel_sv1.hex(), resid1.hex())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 4, 8, 16]),
+    st.sampled_from([1, 3, 12, 40, 60]),
+    st.integers(1, 7),
+)
+def test_stacked_moment_match_has_the_bytes_of_one_call_per_atom(seed, size, n_freq, count):
+    # N below and above the 3|J| dilation cells, sizes from 1 to 16
+    grid = TorusGrid(period=16, samples=256)
+    rng = np.random.default_rng(seed)
+    band = np.arange(-grid.samples // 2 + 1, grid.samples // 2)
+    sigma = FrequencySet(grid, rng.choice(band, size=n_freq, replace=False))
+    starts = rng.choice(grid.samples, size=count, replace=False)
+    triple = (starts[:, None] + np.arange(-size, 2 * size)) % grid.samples
+    f_vals = rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size))
+    assert_stack_has_the_bytes_of_one_call_per_atom(f_vals, sigma, triple)
+
+
+def test_stacked_moment_match_keeps_each_atom_rank():
+    # cells that repeat lower an atom's rank: the stack groups its atoms
+    # by the rank they keep and projects each group on its own
+    grid = TorusGrid(period=16, samples=256)
+    rng = np.random.default_rng(11)
+    sigma = FrequencySet(grid, np.arange(-20, 20))
+    triple = (np.array([[30], [90], [150], [210]]) + np.arange(-4, 8)) % grid.samples
+    triple[1] = triple[1][np.arange(12) // 2 * 2]
+    triple[3] = triple[3][np.arange(12) // 3 * 3]
+    ranks = [np.linalg.matrix_rank(mfcz._cell_exponentials(grid, sigma, t[None])[0]) for t in triple]
+    assert ranks == [12, 6, 12, 4]
+    f_vals = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert_stack_has_the_bytes_of_one_call_per_atom(f_vals, sigma, triple)
+
+
+def test_atoms_of_one_size_are_matched_in_stacks(monkeypatch, grid, rng):
+    # mfcz_decompose hands moment_match one stack per size, of at most
+    # _ATOM_STACK atoms, and keeps the atoms in start order
+    stacks = []
+    real = mfcz.moment_match
+
+    def recording(f_vals, sigma, triple_cells):
+        stacks.append(f_vals.shape)
+        return real(f_vals, sigma, triple_cells)
+
+    monkeypatch.setattr(mfcz, "moment_match", recording)
+    monkeypatch.setattr(mfcz, "_ATOM_STACK", 3)
+    sigma = FrequencySet.from_frequencies(grid, [0.0, 1.0, 2.0])
+    f = spiky_signal(grid, rng, n_spikes=12)
+    dec = mfcz_decompose(f, f.norm_inf() / 3, sigma)
+    sizes = [a.n_cells for a in dec.atoms]
+    assert [a.start_cell for a in dec.atoms] == sorted(a.start_cell for a in dec.atoms)
+    want = [
+        (min(3, sizes.count(n) - i), n) for n in sorted(set(sizes)) for i in range(0, sizes.count(n), 3)
+    ]
+    assert stacks == want and len(dec.atoms) > 3
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Layer decompositions, Whitney window systems, windowed expansions."""
 
 import csv
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,17 +65,32 @@ def assert_layer_contract(layered, source_vals):
     assert np.max(np.abs(layered.remainder.values)) <= layered.tol * v + 1e-15
 
 
-def plain_stop_positions(vals, eps):
-    """The stopping scan as it was first written: every stop rescans the
-    whole tail after it."""
-    pos = 0
-    stops = [0]
+def plain_stop_positions(vals, eps, block=64):
+    """The plain stopping scan: from each stop, test the next cell, then
+    the rest of the tail ``block`` cells at a time, and stop at the first
+    cell that drifts more than eps.  The next cell's drift is one entry
+    of the consecutive drifts, which are taken once, so a stop that
+    follows a stop costs no array call.  It shares no code with the
+    library's table, pointers or fallback."""
     n = vals.shape[0]
+    steps = (np.abs(vals[1:] - vals[:-1]) > eps).tolist()
+    stops = [0]
+    pos = 0
     while pos + 1 < n:
-        over = np.abs(vals[pos + 1 :] - vals[pos]) > eps
-        if not over.any():
+        if steps[pos]:
+            pos += 1
+            stops.append(pos)
+            continue
+        lo = pos + 2
+        while lo < n:
+            over = np.abs(vals[lo : lo + block] - vals[pos]) > eps
+            i = int(over.argmax())
+            if over[i]:
+                break
+            lo += block
+        if lo >= n:
             break
-        pos = pos + 1 + int(np.argmax(over))
+        pos = lo + i
         stops.append(pos)
     return np.asarray(stops, dtype=np.int64)
 
@@ -352,21 +369,43 @@ def test_galloping_stop_scan_equals_the_plain_scan(vals, kind, frac):
 
 def test_stop_scan_falls_back_past_the_drift_table(monkeypatch):
     # on a ramp of 1000 distinct values at threshold 0.3 each stop lies
-    # about 300 run starts ahead, so every stop comes from the fallback
+    # about 300 run starts ahead, so every stop comes from the fallback,
+    # which scans only past the run starts of the table
     found = []
 
-    def recording(vals, pos, eps):
-        nxt = real(vals, pos, eps)
-        found.append((pos, nxt))
-        return nxt
+    def recording(c, pos, start, stop):
+        found.append((pos, start))
+        return real(c, pos, start, stop)
 
-    real = symbols._next_stop
-    monkeypatch.setattr(symbols, "_next_stop", recording)
+    real = symbols._tail_peaks
+    monkeypatch.setattr(symbols, "_tail_peaks", recording)
     vals = np.linspace(0.0, 1.0, 1000).astype(np.complex128)
     stops = _stop_positions(vals, 0.3)
     assert np.array_equal(stops, plain_stop_positions(vals, 0.3))
     assert stops.tolist() == [0, 300, 600, 900]
-    assert found == [(0, 300), (300, 600), (600, 900), (900, None)]
+    past = symbols._DRIFT_WIDTH + 1
+    assert sorted(set(found)) == [(pos, pos + past) for pos in (0, 300, 600, 900)]
+
+
+def test_stop_scan_reuses_a_scanned_tail_at_finer_levels(monkeypatch):
+    # the fallback keeps the running drift of each tail it scanned, and a
+    # finer level at that position reads its stop there instead of
+    # scanning again
+    found = []
+
+    def recording(c, pos, start, stop):
+        found.append(pos)
+        return real(c, pos, start, stop)
+
+    real = symbols._tail_peaks
+    monkeypatch.setattr(symbols, "_tail_peaks", recording)
+    vals = np.linspace(0.0, 1.0, 1000).astype(np.complex128)
+    levels = [s for block in symbols._level_stops(vals, [0.9, 0.6, 0.3]) for s in block]
+    want = [plain_stop_positions(vals, eps).tolist() for eps in (0.9, 0.6, 0.3)]
+    assert [s.tolist() for s in levels] == want == [[0, 900], [0, 600], [0, 300, 600, 900]]
+    # each position's scans come together, at its first fallback: 0 and
+    # 900 at 0.9, 600 at 0.6, 300 at 0.3
+    assert [pos for pos, _ in itertools.groupby(found)] == [0, 900, 600, 300]
 
 
 def dome_symbol(grid, lo, hi, coeff):
@@ -465,6 +504,71 @@ def test_layers_equal_the_plain_decomposition_bit_for_bit(tmp_path_factory, vals
         for p in layer:
             want[LAYER_GRID.slot(p.lo) : LAYER_GRID.slot(p.hi)] += p.coeff
         assert ls.layer_values(j).tobytes() == want.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    layer_source(),
+    st.sampled_from([2.0, 3.0]),
+    st.sampled_from([1e-10, 1e-14]),
+    st.sampled_from([1, 2**10, 2**15]),
+)
+def test_layers_equal_the_plain_decomposition_over_many_levels(vals, r, tol, pass_cells):
+    # 67 to 140 levels in passes of pass_cells // nc levels (at least
+    # one), each pass's first layer taken against the last level of the
+    # pass before
+    with mock.patch.object(symbols, "_PASS_CELLS", pass_cells):
+        ls = vr_layer_decompose(Spectrum(LAYER_GRID, vals), r, tol)
+    v, j_max, layers, remainder = plain_layer_decompose(vals, r, tol)
+    assert (repr(ls.source_norm), ls.j_max) == (repr(v), j_max)
+    got = [[(p.lo, p.hi, coeff_bits(p.coeff)) for p in layer] for layer in ls.layers]
+    assert got == [[(lo, hi, coeff_bits(d)) for lo, hi, d in layer] for layer in layers]
+    assert ls.remainder.values.tobytes() == remainder.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layer_source(),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    st.sampled_from(["homogeneous", "nonhomogeneous"]),
+)
+def test_variation_of_the_run_starts_equals_that_of_the_lattice(vals, r, mode):
+    # the layers take v from the first cell of each run; the lattice's
+    # duplicates reduce away to the same sequence, signed zeros included
+    starts = vals[symbols._run_starts(vals)]
+    assert variation_norm(starts, r, mode).hex() == variation_norm(vals, r, mode).hex()
+
+
+DRIFTS = [0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0, 1.0 + 2**-52, 3.0]
+
+
+@st.composite
+def drift_table_and_thresholds(draw):
+    """A table of drifts drawn from a few values, each column padded at
+    its end with NaN or zeros, and thresholds drawn from the same values,
+    so that ties and repeats occur, in any order."""
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.choice(DRIFTS, size=(rows, cols))
+    pad = draw(st.sampled_from([np.nan, 0.0]))
+    for p, keep in enumerate(rng.integers(0, rows + 1, cols)):
+        table[keep:, p] = pad
+    thresholds = draw(st.lists(st.sampled_from(DRIFTS), min_size=1, max_size=12))
+    return table, thresholds
+
+
+@settings(max_examples=200, deadline=None)
+@given(drift_table_and_thresholds())
+def test_all_level_pointers_equal_a_scan_per_level(case):
+    table, thresholds = case
+    got = symbols._first_over(table, thresholds)
+    assert got.shape == (len(thresholds), table.shape[1])
+    for i, eps in enumerate(thresholds):
+        for p in range(table.shape[1]):
+            # NaN > eps is False, so a NaN is never over
+            over = np.flatnonzero(table[:, p] > eps)
+            assert got[i, p] == (over[0] if over.size else -1)
 
 
 def test_layered_rvar_m_builds_no_layer_piece(monkeypatch):
@@ -581,6 +685,17 @@ def test_whitney_validation(default_grid):
         whitney_decompose(default_grid, 0, 8192, min_cells=2**14)
     with pytest.raises(ValueError):
         whitney_decompose(default_grid, -90000, 8192)
+
+
+def test_whitney_refuses_bounds_that_are_not_integers(default_grid):
+    # a one-cell node straddling -8192.5 split into itself forever
+    for lo, hi in [(-8192.5, 8192), (-8192, 8192.0), (np.float64(-8192.0), 8192)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            whitney_decompose(default_grid, lo, hi)
+    with pytest.raises(ValueError, match="must be an integer"):
+        whitney_decompose(default_grid, -8192, 8192, min_cells=4.0)
+    numpy_ints = whitney_decompose(default_grid, np.int64(-8192), np.int32(8192))
+    assert numpy_ints.pieces == whitney_decompose(default_grid, -8192, 8192).pieces
 
 
 def test_whitney_csv(default_grid, tmp_path):
