@@ -3,17 +3,18 @@
 Exports ``--base`` with ``git archive`` into a temporary directory and
 runs ``perfbench/run.py --trace 0`` alternately in that tree and in this
 checkout's working tree, ``--pairs`` times, each run for ``--seconds``.
-Pair i uses run seed ``--first-seed + i`` in both trees, and the tree that
-goes first alternates from pair to pair, so a drift of the host over the
+Pair i uses run seed i in both trees, and the tree that goes first
+alternates from pair to pair, so a drift of the host over the
 session falls on both trees alike.  ``--base HEAD`` on a clean working
 tree is an A/A run, which shows how far two runs of one tree spread.
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload decompose --pairs 10 --seconds 6
 
 It writes ``BENCH_<workload>.json`` (or ``--out``): every run's metrics,
-and per end-to-end metric of ``BENCHMARK.json`` the medians and quartiles
-of both trees, the base's interquartile range (IQR), in how many pairs
-the checkout was better, and a verdict by ``RULE``.
+the share of operations that failed in each tree, and per end-to-end
+metric of ``BENCHMARK.json`` the medians and quartiles of both trees, the
+base's interquartile range (IQR), in how many pairs the checkout was
+better, and a verdict by ``RULE`` against the metric's bound.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RULE = (
-    "better (worse) when the checkout is better (worse) than the base in at "
-    "least 9 of every 10 pairs and its median is better (worse) than the "
-    "base's by more than the base's IQR; otherwise no clear change"
+    "worse when the checkout's median is worse than the base's by more than "
+    "the metric's bound (a share of the base's median); otherwise "
+    "unresolved when the base's IQR exceeds the bound's share of its median, "
+    "unless every checkout run is better than every base run; otherwise "
+    "better when the checkout is better in at least 9 of every 10 pairs, its "
+    "median is better by more than the base's IQR, and no larger share of "
+    "its operations failed; otherwise within bound"
 )
 
 
@@ -45,9 +50,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(base: list[float], head: list[float], better: str) -> dict:
-    """Summary of one metric over paired runs: ``base[i]`` and ``head[i]``
-    come from pair i, and ``better`` is "lower" or "higher"."""
+def verdict(
+    base: list[float], head: list[float], better: str, bound: float, fails_more: bool = False
+) -> dict:
+    """Summary of one metric over paired runs by ``RULE``: ``base[i]`` and
+    ``head[i]`` come from pair i, ``better`` is "lower" or "higher",
+    ``bound`` is the metric's bound as a share of the base's median, and
+    ``fails_more`` says that a larger share of the checkout's operations
+    failed."""
     if len(base) != len(head) or not base:
         raise ValueError("need one base and one head value per pair")
     sign = 1.0 if better == "lower" else -1.0
@@ -55,38 +65,54 @@ def verdict(base: list[float], head: list[float], better: str) -> dict:
     h1, h2, h3 = quartiles(head)
     iqr = b3 - b1
     wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
-    losses = sum(sign * (h - b) > 0 for b, h in zip(base, head))
     gain = sign * (b2 - h2)
-    need = 0.9 * len(base)
-    if wins >= need and gain > iqr:
-        call = "better"
-    elif losses >= need and -gain > iqr:
+    apart = min(sign * b for b in base) > max(sign * h for h in head)
+    if -gain > bound * abs(b2):
         call = "worse"
+    elif iqr > bound * abs(b2) and not apart:
+        call = "unresolved"
+    elif wins >= 0.9 * len(base) and gain > iqr and not fails_more:
+        call = "better"
     else:
-        call = "no clear change"
+        call = "within bound"
     return {
         "better": better,
+        "bound": bound,
         "base": {"median": b2, "q1": b1, "q3": b3, "iqr": iqr},
         "head": {"median": h2, "q1": h1, "q3": h3},
         "median_change": (h2 - b2) / b2 if b2 else None,
         "head_better_in": f"{wins} of {len(base)}",
+        "head_better_than_every_base_run": apart,
         "verdict": call,
     }
 
 
+def failed_shares(runs: list[dict]) -> dict:
+    """Per tree, the share of its runs' operations that failed."""
+    shares = {}
+    for tree in ("base", "head"):
+        mine = [r for r in runs if r["tree"] == tree]
+        attempted = sum(r["attempted"] for r in mine)
+        shares[tree] = sum(r["failed"] for r in mine) / attempted if attempted else 0.0
+    return shares
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric, ``verdict`` over the runs of both trees,
-    paired by their "pair" field."""
+    paired by their "pair" field, against the metric's bound."""
     pairs = sorted({r["pair"] for r in runs})
     by_tree = {
         tree: {r["pair"]: r for r in runs if r["tree"] == tree} for tree in ("base", "head")
     }
+    shares = failed_shares(runs)
+    fails_more = shares["head"] > shares["base"]
     out = {}
     for metric in end_to_end:
         name = metric["name"]
         base = [by_tree["base"][p]["metrics"][name] for p in pairs]
         head = [by_tree["head"][p]["metrics"][name] for p in pairs]
-        out[name] = {"unit": metric["unit"], **verdict(base, head, metric["better"])}
+        call = verdict(base, head, metric["better"], metric["bound"], fails_more)
+        out[name] = {"unit": metric["unit"], **call}
     return out
 
 
@@ -97,8 +123,12 @@ def export(rev: str, dest: str) -> str:
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout.strip()
     tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, capture_output=True, check=True)
+    # the "data" filter exists from Python 3.12 and some 3.10/3.11 patch
+    # releases; the archive is this repository's own, so older ones may
+    # extract it without one
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-        archive.extractall(dest, filter="data")
+        archive.extractall(dest, **safe)
     return sha
 
 
@@ -127,7 +157,6 @@ def main(argv=None) -> None:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=6.0)
-    ap.add_argument("--first-seed", type=int, default=0)
     ap.add_argument("--out", help="default: BENCH_<workload>.json in the checkout")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
@@ -141,12 +170,11 @@ def main(argv=None) -> None:
         sha = export(args.base, base_tree)
         trees = {"base": base_tree, "head": ROOT}
         for pair in range(args.pairs):
-            seed = args.first_seed + pair
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for tree in order:
-                run = run_once(trees[tree], args.workload, seed, args.seconds)
-                runs.append({"pair": pair, "seed": seed, "tree": tree, **run})
-                print(f"pair {pair} seed {seed} {tree:4s} {json.dumps(run['metrics'])}", file=sys.stderr)
+                run = run_once(trees[tree], args.workload, pair, args.seconds)
+                runs.append({"pair": pair, "seed": pair, "tree": tree, **run})
+                print(f"pair {pair} {tree:4s} {json.dumps(run['metrics'])}", file=sys.stderr)
     report = {
         "workload": args.workload,
         "base": args.base,
@@ -155,6 +183,7 @@ def main(argv=None) -> None:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "rule": RULE,
+        "failed_share": failed_shares(runs),
         "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs,
     }
@@ -167,8 +196,10 @@ def main(argv=None) -> None:
         print(
             f"{name:12s} base {s['base']['median']:.4g} head {s['head']['median']:.4g} "
             f"({change:+.1%}), head better in {s['head_better_in']}, "
-            f"base IQR {s['base']['iqr']:.3g}: {s['verdict']}"
+            f"base IQR {s['base']['iqr']:.3g}, bound {s['bound']:.0%}: {s['verdict']}"
         )
+    shares = report["failed_share"]
+    print(f"failed share: base {shares['base']:.3g}, head {shares['head']:.3g}")
 
 
 if __name__ == "__main__":

@@ -374,7 +374,7 @@ def test_stop_scan_falls_back_past_the_drift_table(monkeypatch):
     found = []
 
     def recording(c, pos, start, stop):
-        found.append((pos, start))
+        found.append((pos, start, stop))
         return real(c, pos, start, stop)
 
     real = symbols._tail_peaks
@@ -383,8 +383,16 @@ def test_stop_scan_falls_back_past_the_drift_table(monkeypatch):
     stops = _stop_positions(vals, 0.3)
     assert np.array_equal(stops, plain_stop_positions(vals, 0.3))
     assert stops.tolist() == [0, 300, 600, 900]
+    # each tail is scanned once at its first size, once at four times it
+    # where no stop lies within the first, and never again
     past = symbols._DRIFT_WIDTH + 1
-    assert sorted(set(found)) == [(pos, pos + past) for pos in (0, 300, 600, 900)]
+    first, grown = symbols._TAIL_SCAN, 4 * symbols._TAIL_SCAN
+    assert first < 300 - past < grown
+    want = []
+    for pos in (0, 300, 600):
+        want += [(pos, pos + past, pos + past + first), (pos, pos + past, min(pos + past + grown, 1000))]
+    want.append((900, 900 + past, 1000))
+    assert found == want
 
 
 def test_stop_scan_reuses_a_scanned_tail_at_finer_levels(monkeypatch):
